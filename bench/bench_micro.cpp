@@ -139,6 +139,41 @@ void BM_ConditionalFitEvaluate(benchmark::State& state) {
 }
 BENCHMARK(BM_ConditionalFitEvaluate)->Arg(1)->Arg(3)->Arg(8)->Arg(20);
 
+// The SMC conditional sweep's shape: one ConditionalFit per user with the
+// candidate in the last slot, scoring a batch of 400 candidate columns on
+// one thread. Above kGramEnumerationLimit this is the Lawson–Hanson prefix
+// cache (recorded once per construction, replayed per candidate), which
+// BM_ConditionalFitEvaluate's leading varying slot never reaches.
+void BM_ConditionalFitBatch(benchmark::State& state) {
+  const std::size_t k = static_cast<std::size_t>(state.range(0));
+  numeric::set_thread_count(1);
+  const core::SparseObjective obj = make_objective(90, k);
+  geom::Rng rng(8);
+  std::vector<std::vector<double>> cols(k - 1);
+  std::vector<std::span<const double>> fixed;
+  for (std::size_t j = 0; j + 1 < k; ++j) {
+    obj.shape_column(geom::uniform_in_field(field(), rng), cols[j]);
+    fixed.push_back(cols[j]);
+  }
+  std::vector<geom::Vec2> sinks(400);
+  for (geom::Vec2& s : sinks) {
+    s = geom::uniform_in_field(field(), rng);
+  }
+  core::ColumnBlock block;
+  obj.shape_columns(sinks, block);
+  std::vector<double> residuals(sinks.size());
+  for (auto _ : state) {
+    const core::ConditionalFit cond(obj, fixed, k - 1);
+    cond.evaluate_batch(block, residuals);
+    benchmark::DoNotOptimize(residuals.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(sinks.size()));
+  numeric::set_thread_count(0);
+}
+BENCHMARK(BM_ConditionalFitBatch)->Arg(12)->Arg(20);
+
 // ConditionalFit construction: the fixed Gram block + fixed c dot products
 // that every conditional sweep pays before its first candidate.
 void BM_GramBuild(benchmark::State& state) {

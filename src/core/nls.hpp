@@ -1,6 +1,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <new>
 #include <span>
@@ -270,6 +271,9 @@ inline constexpr std::size_t kMaxGramUsers = 32;
 /// Cholesky solves — exact and branch-free); above it, a Lawson–Hanson
 /// active-set iteration in Gram space takes over.
 inline constexpr std::size_t kGramEnumerationLimit = 6;
+/// Bound on the Lawson–Hanson outer iterations (3k + 10) at k =
+/// kMaxGramUsers.
+inline constexpr std::size_t kMaxActiveSetIterations = 3 * kMaxGramUsers + 10;
 
 /// NNLS in Gram space: minimizes ||A s - b|| over s >= 0 given
 /// G = A^T A (k x k), c = A^T b, and b2 = ||b||^2. For k <=
@@ -285,12 +289,26 @@ StretchFit nnls_from_gram(std::span<const double> g, std::size_t k,
 /// shape columns stay fixed while the column of one user sweeps over
 /// candidates. Precomputes the fixed Gram block and fixed c entries so each
 /// candidate costs O(n*K) flops plus a tiny Gram-space NNLS.
+///
+/// Prefix cache: for K > kGramEnumerationLimit with the candidate in the
+/// last slot (vary_index == K-1, the SMC sweep's shape), construction also
+/// records the Lawson–Hanson trajectory over the fixed columns alone. The
+/// candidate joins the active set only when its gradient strictly beats
+/// every fixed column's, and until then the run does not depend on it, so
+/// each candidate replays one gradient per recorded iteration and resumes
+/// the ordinary loop at its entry. The candidate's index is the largest,
+/// so the recorded passive set's Cholesky factor is all but the last row
+/// of the first solve's. Results are bit-identical to the uncached
+/// nnls_from_gram on the assembled Gram; a candidate with |c_K| above
+/// every fixed |c_j| (which moves the tolerance) or with a non-finite Gram
+/// term takes the uncached solve.
 class ConditionalFit {
  public:
   /// `fixed_columns` are the K-1 other users' shape columns (each length
   /// n); `vary_index` in [0, K) is the slot of the varying user in the
   /// output stretch vector. The objective and the storage the spans view
-  /// must outlive this; the span-of-spans itself is copied.
+  /// must outlive this; the span-of-spans itself is copied. Construction
+  /// allocates nothing.
   ConditionalFit(const SparseObjective& obj,
                  std::span<const std::span<const double>> fixed_columns,
                  std::size_t vary_index);
@@ -320,6 +338,13 @@ class ConditionalFit {
   /// vector (user_count() entries) to `stretches`; returns the residual.
   double evaluate_into(std::span<const double> candidate_column,
                        double* stretches) const;
+  /// Runs the candidate-free active-set solve and fills the prefix_*
+  /// members.
+  void record_prefix();
+  /// Cached active-set solve on the assembled K x K Gram `g` and `c`.
+  double evaluate_from_prefix(std::span<const double> g,
+                              std::span<const double> c, double b2,
+                              double* s) const;
 
   const SparseObjective* obj_;
   std::size_t fixed_count_;
@@ -329,6 +354,22 @@ class ConditionalFit {
   std::array<std::span<const double>, kMaxGramUsers> fixed_;
   std::array<double, kMaxGramUsers * kMaxGramUsers> fixed_gram_;  // row-major
   std::array<double, kMaxGramUsers> fixed_c_;
+  // Candidate-free Lawson–Hanson prefix. Per recorded outer iteration:
+  // the iterate before the pick (a row of K stretches whose last, the
+  // candidate's, is zero), the passive-set bitmask, and the running
+  // maximum gradient after the fixed columns. Row prefix_iters_ is the
+  // final iterate.
+  int prefix_iters_ = -1;  // -1: cache not armed
+  double prefix_cnorm_ = 0.0;  // max |fixed_c_|, fixes the tolerance
+  std::array<double, (kMaxActiveSetIterations + 1) * kMaxGramUsers> prefix_s_;
+  std::array<std::uint32_t, kMaxActiveSetIterations> prefix_passive_;
+  std::array<double, kMaxActiveSetIterations> prefix_wmax_;
+  // Cholesky factor and forward solution of each recorded passive set,
+  // at offset prefix_factor_at_[it] of prefix_factor_; -1 when the set is
+  // not SPD or the pool is full. 4096 doubles hold every factor of a
+  // typical k <= 20 prefix; one that does not fit only loses its reuse.
+  std::array<std::int32_t, kMaxActiveSetIterations> prefix_factor_at_;
+  std::array<double, 4096> prefix_factor_;
 };
 
 }  // namespace fluxfp::core

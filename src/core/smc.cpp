@@ -263,11 +263,15 @@ SmcStepResult SmcTracker::step(double time,
   // Per-user scores of the *last* sweep; index into predictions(j).
   //
   // Scaling note: the conditional NNLS is pruned to the joint fit's
-  // *support* — the users whose fitted s/r is currently non-zero. With
-  // asynchronous schedules (20 tracked users, 2-4 active per window, §5.C)
-  // this turns each candidate evaluation from a K-dimensional NNLS into a
-  // (active+1)-dimensional one; columns outside the support are zero in
-  // the full fit anyway, so the pruned fit is exact at the current point.
+  // *support* — the users whose fitted s/r is currently non-zero (above
+  // the 0.02 x max cut below). This turns each candidate evaluation from a
+  // K-dimensional NNLS into a (support+1)-dimensional one; columns outside
+  // the support are zero in the full fit anyway, so the pruned fit is
+  // exact at the current point. The supports are wider than the active
+  // users: the fig10 trace-driven run (20 users) measures k = 7..19 with a
+  // mode of 11, as stale representatives absorb model misfit. That is why
+  // the candidate goes in the last slot, where ConditionalFit's
+  // Lawson–Hanson prefix cache applies.
   const std::span<double> last_residuals_flat =
       arena.alloc<double>(k * n_pred);
   const auto last_residuals = [&](std::size_t j) {

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <random>
 #include <span>
+#include <string>
 
 #include "core/rss_link_model.hpp"
 #include "geom/sampling.hpp"
@@ -12,6 +16,7 @@
 #include "numeric/matrix.hpp"
 #include "numeric/nnls.hpp"
 #include "numeric/parallel.hpp"
+#include "numeric/simd/kernels.hpp"
 
 namespace fluxfp::core {
 namespace {
@@ -439,6 +444,276 @@ TEST(ConditionalFit, SingleUserNoFixedColumns) {
   const StretchFit fit = cond.evaluate(col);
   EXPECT_NEAR(fit.residual, 0.0, 1e-8);
   EXPECT_NEAR(fit.stretches[0], 2.0, 1e-8);
+}
+
+// --- Prefix-cache oracle ---------------------------------------------------
+//
+// ConditionalFit caches the candidate-free Lawson–Hanson run when k > 6
+// and the candidate sits in the last slot. The oracle is nnls_from_gram on
+// the K x K Gram that evaluate() assembles (same dot kernels, same slot
+// mapping): the cached residual and every stretch must match it bit for
+// bit, on every branch of the cache.
+
+/// Random conditional-fit instance: k - 1 positive, strongly correlated
+/// fixed columns (like shape columns) and a measured vector mixing half of
+/// them with signed noise, so the active set grows and shrinks along the
+/// path.
+struct OracleInstance {
+  geom::RectField field{30.0, 30.0};
+  FluxModel model{field, 1.0};
+  std::vector<std::vector<double>> fixed_cols;
+  std::vector<std::span<const double>> fixed;
+  std::unique_ptr<SparseObjective> obj;
+  std::mt19937_64 rng;
+
+  OracleInstance(std::size_t k, std::uint64_t seed) : rng(seed) {
+    const std::size_t n = 4 * k + 8;
+    std::uniform_real_distribution<double> u(0.0, 1.0);
+    std::normal_distribution<double> noise(0.0, 0.3 * static_cast<double>(k));
+    fixed_cols.assign(k - 1, std::vector<double>(n));
+    for (auto& col : fixed_cols) {
+      for (double& v : col) {
+        v = u(rng);
+      }
+    }
+    std::vector<double> measured(n, 0.0);
+    for (std::size_t j = 0; j + 1 < k; j += 2) {
+      const double a = u(rng);
+      for (std::size_t i = 0; i < n; ++i) {
+        measured[i] += a * fixed_cols[j][i];
+      }
+    }
+    for (double& m : measured) {
+      m += noise(rng);
+    }
+    geom::Rng pos_rng(seed);
+    obj = std::make_unique<SparseObjective>(
+        model, geom::uniform_points(field, n, pos_rng), std::move(measured));
+    fixed.assign(fixed_cols.begin(), fixed_cols.end());
+  }
+
+  std::vector<double> random_column(double scale) {
+    std::uniform_real_distribution<double> u(0.0, 1.0);
+    std::vector<double> col(obj->sample_count());
+    for (double& v : col) {
+      v = scale * u(rng);
+    }
+    return col;
+  }
+
+  double fixed_c(std::size_t a) const {
+    return numeric::simd::dot(fixed[a].data(), obj->measured().data(),
+                              obj->sample_count());
+  }
+  /// max_a |fixed c_a|: the candidate-free tolerance's scale.
+  double fixed_cnorm() const {
+    double cnorm = 0.0;
+    for (std::size_t a = 0; a < fixed.size(); ++a) {
+      cnorm = std::max(cnorm, std::abs(fixed_c(a)));
+    }
+    return cnorm;
+  }
+  double candidate_c(std::span<const double> cand) const {
+    double self = 0.0;
+    double cb = 0.0;
+    numeric::simd::dot_self_and_b(cand.data(), obj->measured().data(),
+                                  cand.size(), &self, &cb);
+    return cb;
+  }
+
+  /// nnls_from_gram on the Gram ConditionalFit assembles with the
+  /// candidate at slot `vary`.
+  StretchFit reference(std::size_t vary, std::span<const double> cand) const {
+    const std::size_t kf = fixed.size();
+    const std::size_t k = kf + 1;
+    const std::size_t n = obj->sample_count();
+    const double* b = obj->measured().data();
+    const auto slot = [&](std::size_t a) { return a < vary ? a : a + 1; };
+    std::vector<double> g(k * k);
+    std::vector<double> c(k);
+    for (std::size_t a = 0; a < kf; ++a) {
+      for (std::size_t bi = a; bi < kf; ++bi) {
+        const double v =
+            numeric::simd::dot(fixed[a].data(), fixed[bi].data(), n);
+        g[slot(a) * k + slot(bi)] = v;
+        g[slot(bi) * k + slot(a)] = v;
+      }
+      c[slot(a)] = numeric::simd::dot(fixed[a].data(), b, n);
+      const double cross = numeric::simd::dot(fixed[a].data(), cand.data(), n);
+      g[slot(a) * k + vary] = cross;
+      g[vary * k + slot(a)] = cross;
+    }
+    numeric::simd::dot_self_and_b(cand.data(), b, n, &g[vary * k + vary],
+                                  &c[vary]);
+    const double b2 = obj->measured_norm() * obj->measured_norm();
+    return nnls_from_gram(g, k, c, b2);
+  }
+
+  /// evaluate() and evaluate_batch() against the reference, bit for bit.
+  void expect_exact(std::size_t vary, std::span<const double> cand,
+                    const std::string& what) const {
+    const ConditionalFit cond(*obj, fixed, vary);
+    const StretchFit want = reference(vary, cand);
+    const StretchFit got = cond.evaluate(cand);
+    EXPECT_EQ(std::memcmp(&got.residual, &want.residual, sizeof(double)), 0)
+        << what << ": residual " << got.residual << " vs " << want.residual;
+    ASSERT_EQ(got.stretches.size(), want.stretches.size()) << what;
+    EXPECT_EQ(std::memcmp(got.stretches.data(), want.stretches.data(),
+                          want.stretches.size() * sizeof(double)),
+              0)
+        << what << ": stretches differ";
+    ColumnBlock block(cand.size(), 1);
+    std::copy(cand.begin(), cand.end(), block.column(0).begin());
+    double batch_residual = 0.0;
+    double batch_stretch = 0.0;
+    cond.evaluate_batch(block, std::span<double>(&batch_residual, 1),
+                        std::span<double>(&batch_stretch, 1));
+    EXPECT_EQ(std::memcmp(&batch_residual, &want.residual, sizeof(double)), 0)
+        << what << ": batch residual";
+    EXPECT_EQ(std::memcmp(&batch_stretch, &want.stretches[vary],
+                          sizeof(double)),
+              0)
+        << what << ": batch stretch";
+  }
+};
+
+std::string oracle_label(const char* branch, std::size_t k, int trial) {
+  return std::string(branch) + " k=" + std::to_string(k) +
+         " trial=" + std::to_string(trial);
+}
+
+TEST(ConditionalFitPrefixCache, CandidateThatNeverEntersMatchesUncachedSolve) {
+  // A column of magnitude 1e-20 has a gradient far below the tolerance at
+  // every iterate: the candidate never enters, and the answer is the final
+  // candidate-free iterate with a zero candidate stretch.
+  for (std::size_t k = 7; k <= 20; ++k) {
+    for (int trial = 0; trial < 4; ++trial) {
+      OracleInstance inst(k, 1000 * k + static_cast<std::uint64_t>(trial));
+      const std::vector<double> cand = inst.random_column(1e-20);
+      const std::string what = oracle_label("never-enters", k, trial);
+      inst.expect_exact(k - 1, cand, what);
+      EXPECT_EQ(inst.reference(k - 1, cand).stretches[k - 1], 0.0) << what;
+    }
+  }
+}
+
+TEST(ConditionalFitPrefixCache, CandidateAboveFixedCnormFallsBackExactly) {
+  // |cb| above every fixed |c| moves the tolerance, so these take the
+  // uncached solve. A large positive cb wins the first pick; a huge
+  // negative one never enters but lifts the tolerance over every fixed
+  // gradient, so the solve stops at s = 0 where the candidate-free
+  // tolerance would not.
+  for (std::size_t k = 7; k <= 20; ++k) {
+    for (int trial = 0; trial < 4; ++trial) {
+      OracleInstance inst(k, 2000 * k + static_cast<std::uint64_t>(trial));
+      const std::vector<double> cand = inst.random_column(4.0);
+      const std::string what = oracle_label("fallback", k, trial);
+      ASSERT_GT(std::abs(inst.candidate_c(cand)), inst.fixed_cnorm()) << what;
+      inst.expect_exact(k - 1, cand, what);
+
+      std::vector<double> anti = inst.obj->measured();
+      const double b2 = inst.obj->measured_norm() * inst.obj->measured_norm();
+      for (double& v : anti) {
+        v *= -1e15 / b2;
+      }
+      inst.expect_exact(k - 1, anti, what + " anti-correlated");
+      for (const double s : inst.reference(k - 1, anti).stretches) {
+        EXPECT_EQ(s, 0.0) << what << " anti-correlated";
+      }
+    }
+  }
+}
+
+TEST(ConditionalFitPrefixCache, CandidateEnteringMidPathResumesExactly) {
+  // The candidate leans on the measured vector b, scaled so its cb is half
+  // the largest fixed c: it cannot win the first pick, but b . r = |r|^2
+  // keeps its gradient positive at the candidate-free optimum. A candidate
+  // that ends with a positive stretch therefore entered mid-path, and the
+  // cached solve resumed the ordinary loop from a recorded iterate.
+  int mid_path = 0;
+  int attempts = 0;
+  for (std::size_t k = 7; k <= 20; ++k) {
+    for (int trial = 0; trial < 8; ++trial) {
+      OracleInstance inst(k, 3000 * k + static_cast<std::uint64_t>(trial));
+      double max_fixed_c = 0.0;
+      for (std::size_t a = 0; a + 1 < k; ++a) {
+        max_fixed_c = std::max(max_fixed_c, inst.fixed_c(a));
+      }
+      const double b2 = inst.obj->measured_norm() * inst.obj->measured_norm();
+      std::vector<double> cand = inst.random_column(0.05);
+      for (std::size_t i = 0; i < cand.size(); ++i) {
+        cand[i] += 0.5 * max_fixed_c / b2 * inst.obj->measured()[i];
+      }
+      const std::string what = oracle_label("mid-path", k, trial);
+      inst.expect_exact(k - 1, cand, what);
+      ++attempts;
+      const double cb = inst.candidate_c(cand);
+      if (cb <= max_fixed_c && std::abs(cb) <= inst.fixed_cnorm() &&
+          inst.reference(k - 1, cand).stretches[k - 1] > 0.0) {
+        ++mid_path;
+      }
+    }
+  }
+  // Most draws must exercise the resume, or the test proves little.
+  EXPECT_GE(mid_path, 3 * attempts / 4) << mid_path << " of " << attempts;
+}
+
+TEST(ConditionalFitPrefixCache, CandidateDuplicatingFixedColumnMatchesExactly) {
+  // An exact copy of a fixed column ties its twin's gradient, and the
+  // strict pick keeps the earlier fixed column; a copy a hair larger wins
+  // instead and takes its twin's place along the path.
+  for (std::size_t k = 7; k <= 20; ++k) {
+    for (int trial = 0; trial < 4; ++trial) {
+      OracleInstance inst(k, 4000 * k + static_cast<std::uint64_t>(trial));
+      for (std::size_t a = 0; a + 1 < k; ++a) {
+        for (const double scale : {1.0, 1.0 + 0x1p-40}) {
+          std::vector<double> cand(inst.fixed[a].begin(),
+                                   inst.fixed[a].end());
+          for (double& v : cand) {
+            v *= scale;
+          }
+          inst.expect_exact(k - 1, cand,
+                            oracle_label("duplicate", k, trial) +
+                                " of column " + std::to_string(a));
+        }
+      }
+    }
+  }
+}
+
+TEST(ConditionalFitPrefixCache, NearSingularCandidateIsDroppedExactly) {
+  // A tiny multiple of the measured vector has a positive gradient at the
+  // candidate-free optimum (b . r = |r|^2) but a squared norm below the
+  // Cholesky pivot floor of 1e-14: it enters at the end of the path, its
+  // solve fails, and the near-singular branch drops it again.
+  for (std::size_t k = 7; k <= 20; ++k) {
+    for (int trial = 0; trial < 4; ++trial) {
+      OracleInstance inst(k, 6000 * k + static_cast<std::uint64_t>(trial));
+      std::vector<double> cand = inst.obj->measured();
+      const double scale = std::sqrt(5e-15) / inst.obj->measured_norm();
+      for (double& v : cand) {
+        v *= scale;
+      }
+      const std::string what = oracle_label("near-singular", k, trial);
+      inst.expect_exact(k - 1, cand, what);
+      EXPECT_EQ(inst.reference(k - 1, cand).stretches[k - 1], 0.0) << what;
+    }
+  }
+}
+
+TEST(ConditionalFitPrefixCache, VaryingSlotBeforeLastStaysUncachedAndExact) {
+  // The localizer's shape: the candidate in a leading or middle slot.
+  for (std::size_t k = 7; k <= 20; ++k) {
+    for (int trial = 0; trial < 2; ++trial) {
+      OracleInstance inst(k, 5000 * k + static_cast<std::uint64_t>(trial));
+      const std::vector<double> cand = inst.random_column(0.6);
+      for (const std::size_t vary : {std::size_t{0}, k / 2}) {
+        inst.expect_exact(vary, cand,
+                          oracle_label("vary-slot", k, trial) + " slot " +
+                              std::to_string(vary));
+      }
+    }
+  }
 }
 
 TEST(SparseObjective, ScaleEquivariance) {
