@@ -10,6 +10,7 @@
 #include "geom/vec2.hpp"
 #include "stream/event.hpp"
 #include "stream/trace_io.hpp"
+#include "support/bytes.hpp"
 
 namespace fluxfp::netio {
 
@@ -21,8 +22,8 @@ namespace fluxfp::netio {
 ///   bytes 6..7   u16 reserved (0)
 ///   bytes 8..11  u32 payload byte count (bounds-checked against WireLimits)
 /// followed by `payload` bytes whose layout depends on the type. Like
-/// FLUXFPT1/FLUXFPC1, all integer and f64 fields are raw host-endian bytes
-/// (memcpy) — this is a loopback/cluster protocol, and readings round-trip
+/// FLUXFPT1/FLUXFPC1, all integer and f64 fields are little-endian
+/// (support/bytes.hpp, enforced at compile time), so readings round-trip
 /// BIT-exactly including the NaN payload of net::kMissingReading. An
 /// EVENT_BATCH payload is literally a run of FLUXFPT1 28-byte records
 /// (stream::encode_trace_record), so a recorded trace can be cut into
@@ -85,24 +86,8 @@ struct WireLimits {
 
 /// Typed malformation report of a wire stream: what went wrong, at which
 /// byte offset of the connection (or payload, for decode_* helpers), and
-/// why — the netio sibling of stream::TraceError / CheckpointError.
-struct WireError {
-  enum class Kind {
-    kTruncatedHeader,   ///< connection died inside a frame header
-    kBadMagic,          ///< header does not start with "FXN1"
-    kUnknownType,       ///< frame type this version does not speak
-    kOversized,         ///< declared payload length exceeds WireLimits
-    kTruncatedPayload,  ///< connection died inside a payload
-    kMalformedPayload,  ///< length ok, internal structure inconsistent
-    kBadStream,         ///< the socket itself failed (read error)
-  };
-  Kind kind = Kind::kBadStream;
-  std::uint64_t offset = 0;  ///< byte offset where the failure was detected
-  std::string reason;
-
-  /// "offset 12: bad magic — ..." — for logs and error messages.
-  std::string to_string() const;
-};
+/// why. The same type as stream::TraceError and stream::CheckpointError.
+using WireError = support::DecodeError;
 
 /// Abstract byte producer the frame decoder reads from. netio::Socket is
 /// the production implementation; tests feed in-memory buffers (including

@@ -1,5 +1,7 @@
 #include "sim/measurement.hpp"
 
+#include <optional>
+
 #include "net/routing.hpp"
 
 namespace fluxfp::sim {
@@ -27,15 +29,20 @@ void FluxEngine::apply_noise(net::FluxMap& flux, const FluxNoise& noise,
   if (noise.relative_sigma <= 0.0 && noise.dropout_prob <= 0.0) {
     return;
   }
-  std::normal_distribution<double> gauss(0.0, noise.relative_sigma);
+  // std::normal_distribution requires stddev > 0, so a dropout-only noise
+  // model builds none (and draws exactly what it drew before).
+  std::optional<std::normal_distribution<double>> gauss;
+  if (noise.relative_sigma > 0.0) {
+    gauss.emplace(0.0, noise.relative_sigma);
+  }
   std::uniform_real_distribution<double> unit(0.0, 1.0);
   for (double& v : flux) {
     if (noise.dropout_prob > 0.0 && unit(rng) < noise.dropout_prob) {
       v = net::kMissingReading;
       continue;
     }
-    if (noise.relative_sigma > 0.0) {
-      v = std::max(0.0, v * (1.0 + gauss(rng)));
+    if (gauss) {
+      v = std::max(0.0, v * (1.0 + (*gauss)(rng)));
     }
   }
 }

@@ -29,7 +29,7 @@ const std::array<std::uint32_t, 256>& crc_table() {
   return table;
 }
 
-std::uint32_t crc32(const std::string& data) {
+std::uint32_t crc32(std::string_view data) {
   std::uint32_t c = 0xFFFFFFFFu;
   for (const char ch : data) {
     c = crc_table()[(c ^ static_cast<unsigned char>(ch)) & 0xFFu] ^ (c >> 8);
@@ -37,102 +37,11 @@ std::uint32_t crc32(const std::string& data) {
   return c ^ 0xFFFFFFFFu;
 }
 
-/// Appends raw host-endian fields to a byte buffer (the FLUXFPT1 idiom:
-/// memcpy keeps f64 round-trips bit-exact, NaN payloads included).
-class ByteWriter {
- public:
-  void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void u32(std::uint32_t v) { raw(&v, 4); }
-  void u64(std::uint64_t v) { raw(&v, 8); }
-  void f64(double v) { raw(&v, 8); }
-  void str(const std::string& s) {
-    u64(s.size());
-    buf_.append(s);
-  }
-  std::string take() { return std::move(buf_); }
+using support::ByteReader;
+using support::ByteWriter;
+using Kind = CheckpointError::Kind;
 
- private:
-  void raw(const void* p, std::size_t n) {
-    buf_.append(static_cast<const char*>(p), n);
-  }
-  std::string buf_;
-};
-
-/// Bounds-checked cursor over the payload. Every read checks the remaining
-/// byte count first, so a lying length prefix can neither overrun the
-/// buffer nor trigger an absurd allocation: element counts are validated
-/// against a per-element minimum size before any container is resized.
-class ByteReader {
- public:
-  explicit ByteReader(const std::string& buf) : buf_(&buf) {}
-
-  bool u8(std::uint8_t& v) {
-    if (remaining() < 1) {
-      return fail("u8 past end of payload");
-    }
-    v = static_cast<std::uint8_t>((*buf_)[pos_++]);
-    return true;
-  }
-  bool u32(std::uint32_t& v) { return raw(&v, 4, "u32"); }
-  bool u64(std::uint64_t& v) { return raw(&v, 8, "u64"); }
-  bool f64(double& v) { return raw(&v, 8, "f64"); }
-
-  bool str(std::string& s) {
-    std::uint64_t n = 0;
-    if (!u64(n)) {
-      return false;
-    }
-    if (n > remaining()) {
-      return fail("string length exceeds remaining payload");
-    }
-    s.assign(*buf_, pos_, static_cast<std::size_t>(n));
-    pos_ += static_cast<std::size_t>(n);
-    return true;
-  }
-
-  /// Reads an element count and rejects it when even `min_bytes_each`
-  /// bytes per element could not fit in what is left.
-  bool count(std::uint64_t& n, std::uint64_t min_bytes_each) {
-    if (!u64(n)) {
-      return false;
-    }
-    if (min_bytes_each != 0 && n > remaining() / min_bytes_each) {
-      return fail("element count exceeds remaining payload");
-    }
-    return true;
-  }
-
-  std::uint64_t remaining() const { return buf_->size() - pos_; }
-  std::uint64_t pos() const { return pos_; }
-  bool ok() const { return ok_; }
-  const std::string& what() const { return what_; }
-
-  bool fail(const char* why) {
-    if (ok_) {  // keep the first failure's position and reason
-      ok_ = false;
-      what_ = why;
-      fail_pos_ = pos_;
-    }
-    return false;
-  }
-  std::uint64_t fail_pos() const { return fail_pos_; }
-
- private:
-  bool raw(void* p, std::size_t n, const char* what) {
-    if (remaining() < n) {
-      return fail(what);
-    }
-    std::memcpy(p, buf_->data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  const std::string* buf_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-  std::string what_;
-  std::uint64_t fail_pos_ = 0;
-};
+constexpr std::string_view kFormat(kCheckpointMagic, sizeof(kCheckpointMagic));
 
 void encode_session(ByteWriter& w, const SessionCheckpoint& s) {
   w.u32(s.user);
@@ -142,7 +51,8 @@ void encode_session(ByteWriter& w, const SessionCheckpoint& s) {
     w.u64(node);
   }
   const StreamTrackerState& st = s.state;
-  w.str(st.rng);
+  w.u64(st.rng.size());
+  w.bytes(st.rng);
   w.u64(st.smc.users.size());
   for (const core::SmcUserState& us : st.smc.users) {
     w.u64(us.particles.size());
@@ -204,7 +114,7 @@ bool decode_session(ByteReader& r, SessionCheckpoint& s) {
     }
   }
   StreamTrackerState& st = s.state;
-  if (!r.str(st.rng)) {
+  if (!r.count(n, 1) || !r.str(st.rng, n, "rng state")) {
     return false;
   }
   if (!r.count(n, 8)) {
@@ -293,50 +203,24 @@ bool decode_session(ByteReader& r, SessionCheckpoint& s) {
   return true;
 }
 
-void pack_u32(char* dst, std::uint32_t v) { std::memcpy(dst, &v, 4); }
-void pack_u64(char* dst, std::uint64_t v) { std::memcpy(dst, &v, 8); }
-std::uint32_t unpack_u32(const char* src) {
-  std::uint32_t v;
-  std::memcpy(&v, src, 4);
-  return v;
-}
-std::uint64_t unpack_u64(const char* src) {
-  std::uint64_t v;
-  std::memcpy(&v, src, 8);
-  return v;
-}
-
-CheckpointError make_error(CheckpointError::Kind kind, std::uint64_t offset,
-                           std::string reason) {
-  CheckpointError e;
-  e.kind = kind;
-  e.offset = offset;
-  e.reason = std::move(reason);
-  return e;
-}
-
 }  // namespace
-
-std::string CheckpointError::to_string() const {
-  return "offset " + std::to_string(offset) + ": " + reason;
-}
 
 std::string encode_checkpoint(const ManagerCheckpoint& cp) {
   ByteWriter w;
+  w.bytes(kFormat);
+  w.u32(kCheckpointVersion);
+  w.u32(0);  // CRC, patched below
+  w.u64(0);  // payload byte count, patched below
   w.u32(cp.workers);
   w.u64(cp.sessions.size());
   for (const SessionCheckpoint& s : cp.sessions) {
     encode_session(w, s);
   }
-  std::string image = w.take();
-
-  char header[kCheckpointHeaderBytes];
-  std::memcpy(header, kCheckpointMagic, sizeof(kCheckpointMagic));
-  pack_u32(header + 8, kCheckpointVersion);
-  pack_u32(header + 12, crc32(image));
-  pack_u64(header + 16, image.size());
-  image.insert(0, header, sizeof(header));
-  return image;
+  const std::size_t payload_bytes = w.size() - kCheckpointHeaderBytes;
+  support::put<std::uint32_t>(
+      w.at(12), crc32({w.at(kCheckpointHeaderBytes), payload_bytes}));
+  support::put<std::uint64_t>(w.at(16), payload_bytes);
+  return w.take();
 }
 
 std::uint64_t write_checkpoint(std::ostream& os,
@@ -355,23 +239,22 @@ std::optional<CheckpointError> read_checkpoint(std::istream& is,
   is.read(header, sizeof(header));
   const auto got = static_cast<std::uint64_t>(is.gcount());
   if (got != sizeof(header)) {
-    return make_error(CheckpointError::Kind::kTruncatedHeader, got,
-                      "checkpoint header truncated (" + std::to_string(got) +
-                          " of " + std::to_string(kCheckpointHeaderBytes) +
-                          " bytes)");
+    return CheckpointError{kFormat, Kind::kTruncatedHeader, got,
+                           "got " + std::to_string(got) + " of " +
+                               std::to_string(kCheckpointHeaderBytes) +
+                               " header bytes"};
   }
   if (std::memcmp(header, kCheckpointMagic, sizeof(kCheckpointMagic)) != 0) {
-    return make_error(CheckpointError::Kind::kBadMagic, 0,
-                      "not a FLUXFPC1 checkpoint (bad magic)");
+    return CheckpointError{kFormat, Kind::kBadMagic, 0,
+                           "not a FLUXFPC1 checkpoint"};
   }
-  const std::uint32_t version = unpack_u32(header + 8);
+  const auto version = support::get<std::uint32_t>(header + 8);
   if (version != kCheckpointVersion) {
-    return make_error(CheckpointError::Kind::kBadVersion, 8,
-                      "unsupported checkpoint version " +
-                          std::to_string(version));
+    return CheckpointError{kFormat, Kind::kBadVersion, 8,
+                           "checkpoint version " + std::to_string(version)};
   }
-  const std::uint32_t want_crc = unpack_u32(header + 12);
-  const std::uint64_t payload_bytes = unpack_u64(header + 16);
+  const auto want_crc = support::get<std::uint32_t>(header + 12);
+  const auto payload_bytes = support::get<std::uint64_t>(header + 16);
 
   // Read the payload in bounded chunks: a corrupt length field must not
   // translate into a giant up-front allocation.
@@ -385,41 +268,31 @@ std::optional<CheckpointError> read_checkpoint(std::istream& is,
     const auto n = static_cast<std::uint64_t>(is.gcount());
     payload.append(chunk, static_cast<std::size_t>(n));
     if (n < want) {
-      return make_error(
-          CheckpointError::Kind::kTruncatedPayload,
+      return CheckpointError{
+          kFormat, Kind::kTruncatedPayload,
           kCheckpointHeaderBytes + payload.size(),
-          "payload truncated (" + std::to_string(payload.size()) + " of " +
-              std::to_string(payload_bytes) + " bytes)");
+          "got " + std::to_string(payload.size()) + " of " +
+              std::to_string(payload_bytes) + " payload bytes"};
     }
   }
   if (crc32(payload) != want_crc) {
-    return make_error(CheckpointError::Kind::kCrcMismatch, 12,
-                      "payload CRC mismatch — torn write or corruption");
+    return CheckpointError{kFormat, Kind::kCrcMismatch, 12,
+                           "torn write or corruption"};
   }
 
   ManagerCheckpoint cp;
-  ByteReader r(payload);
+  ByteReader r(payload, kFormat, kCheckpointHeaderBytes);
   std::uint64_t sessions = 0;
-  bool decoded = r.u32(cp.workers) && r.count(sessions, 16);
-  if (decoded) {
+  if (r.u32(cp.workers) && r.count(sessions, 16)) {
     cp.sessions.resize(static_cast<std::size_t>(sessions));
     for (SessionCheckpoint& s : cp.sessions) {
       if (!decode_session(r, s)) {
-        decoded = false;
         break;
       }
     }
   }
-  if (decoded && r.remaining() != 0) {
-    r.fail("trailing bytes after the last session");
-    decoded = false;
-  }
-  if (!decoded) {
-    return make_error(
-        CheckpointError::Kind::kMalformedPayload,
-        kCheckpointHeaderBytes + (r.ok() ? r.pos() : r.fail_pos()),
-        "malformed payload: " + (r.ok() ? std::string("decode failed")
-                                        : r.what()));
+  if (!r.done()) {
+    return r.error();
   }
   out = std::move(cp);
   return std::nullopt;
@@ -438,8 +311,8 @@ std::optional<CheckpointError> read_checkpoint_file(const std::string& path,
                                                     ManagerCheckpoint& out) {
   std::ifstream is(path, std::ios::binary);
   if (!is) {
-    return make_error(CheckpointError::Kind::kBadStream, 0,
-                      "cannot open " + path);
+    return CheckpointError{kFormat, Kind::kBadStream, 0,
+                           "cannot open " + path};
   }
   return read_checkpoint(is, out);
 }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "stream/stream_tracker.hpp"
+#include "support/bytes.hpp"
 
 namespace fluxfp::stream {
 
@@ -21,9 +22,10 @@ namespace fluxfp::stream {
 ///   bytes 8..11  u32 version (1)
 ///   bytes 12..15 u32 CRC-32 (IEEE 802.3, reflected) of the payload bytes
 ///   bytes 16..23 u64 payload byte count
-/// The payload is raw host-endian bytes (memcpy, like FLUXFPT1), so f64
-/// fields — readings, weights, timestamps — round-trip BIT-exactly,
-/// including the NaN payload of net::kMissingReading. The CRC guards
+/// The payload is little-endian like FLUXFPT1 (support/bytes.hpp, enforced
+/// at compile time), so f64 fields — readings, weights, timestamps —
+/// round-trip BIT-exactly, including the NaN payload of
+/// net::kMissingReading. The CRC guards
 /// against torn writes and bit rot: a checkpoint either decodes whole or
 /// is rejected with a typed error, never half-applied.
 inline constexpr char kCheckpointMagic[8] = {'F', 'L', 'U', 'X',
@@ -51,24 +53,9 @@ struct ManagerCheckpoint {
 
 /// Typed decode failure: what went wrong, at which byte offset of the
 /// checkpoint image, and why. Returned (not thrown) so supervision code
-/// can fall back to an older snapshot without exception plumbing.
-struct CheckpointError {
-  enum class Kind {
-    kTruncatedHeader,   ///< fewer than 24 header bytes
-    kBadMagic,          ///< not a FLUXFPC1 image
-    kBadVersion,        ///< version this build does not speak
-    kTruncatedPayload,  ///< payload shorter than the header promised
-    kCrcMismatch,       ///< payload bytes fail the header CRC
-    kMalformedPayload,  ///< CRC passed but the structure is inconsistent
-    kBadStream,         ///< the stream itself failed (open/read error)
-  };
-  Kind kind = Kind::kBadStream;
-  std::uint64_t offset = 0;  ///< byte offset where the failure was detected
-  std::string reason;
-
-  /// "offset 12: payload CRC mismatch ..." — for logs and error messages.
-  std::string to_string() const;
-};
+/// can fall back to an older snapshot without exception plumbing. The same
+/// type as stream::TraceError and netio::WireError.
+using CheckpointError = support::DecodeError;
 
 /// Serializes a snapshot into one in-memory FLUXFPC1 image (header +
 /// payload). This is the supervision hot path — one buffer build, no

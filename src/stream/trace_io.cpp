@@ -16,56 +16,28 @@ namespace fluxfp::stream {
 
 namespace {
 
-void pack_u32(char* dst, std::uint32_t v) { std::memcpy(dst, &v, 4); }
-void pack_f64(char* dst, double v) { std::memcpy(dst, &v, 8); }
-std::uint32_t unpack_u32(const char* src) {
-  std::uint32_t v;
-  std::memcpy(&v, src, 4);
-  return v;
-}
-double unpack_f64(const char* src) {
-  double v;
-  std::memcpy(&v, src, 8);
-  return v;
-}
+using support::get;
+using support::put;
+using Kind = TraceError::Kind;
 
-const char* kind_name(TraceError::Kind kind) {
-  switch (kind) {
-    case TraceError::Kind::kTruncatedHeader:
-      return "truncated header";
-    case TraceError::Kind::kBadMagic:
-      return "bad magic";
-    case TraceError::Kind::kBadVersion:
-      return "unsupported version";
-    case TraceError::Kind::kTruncatedRecord:
-      return "truncated record";
-    case TraceError::Kind::kBadStream:
-      return "stream failure";
-  }
-  return "unknown";
-}
+constexpr std::string_view kFormat(kTraceMagic, sizeof(kTraceMagic));
 
 }  // namespace
 
 void encode_trace_record(char* dst, const FluxEvent& event) {
-  pack_f64(dst + 0, event.time);
-  pack_u32(dst + 8, event.user);
-  pack_u32(dst + 12, event.epoch);
-  pack_u32(dst + 16, event.node);
-  pack_f64(dst + 20, event.reading);
+  put<double>(dst + 0, event.time);
+  put<std::uint32_t>(dst + 8, event.user);
+  put<std::uint32_t>(dst + 12, event.epoch);
+  put<std::uint32_t>(dst + 16, event.node);
+  put<double>(dst + 20, event.reading);
 }
 
 void decode_trace_record(const char* src, FluxEvent& out) {
-  out.time = unpack_f64(src + 0);
-  out.user = unpack_u32(src + 8);
-  out.epoch = unpack_u32(src + 12);
-  out.node = unpack_u32(src + 16);
-  out.reading = unpack_f64(src + 20);
-}
-
-std::string TraceError::to_string() const {
-  return "offset " + std::to_string(offset) + ": " + kind_name(kind) +
-         (reason.empty() ? "" : " — " + reason);
+  out.time = get<double>(src + 0);
+  out.user = get<std::uint32_t>(src + 8);
+  out.epoch = get<std::uint32_t>(src + 12);
+  out.node = get<std::uint32_t>(src + 16);
+  out.reading = get<double>(src + 20);
 }
 
 TraceFormatError::TraceFormatError(TraceError err)
@@ -82,14 +54,9 @@ TraceRecorder::TraceRecorder(std::ostream& os, std::uint8_t model_id)
   std::memcpy(header, kTraceMagic, sizeof(kTraceMagic));
   // Flux (model 0) stays version 1, byte-identical to pre-model-tag
   // recorders; only a non-flux model needs the version-2 header.
-  if (model_id == 0) {
-    pack_u32(header + 8, kTraceVersion);
-    pack_u32(header + 12, 0);
-  } else {
-    pack_u32(header + 8, kTraceVersionModel);
-    pack_u32(header + 12, 0);
-    header[12] = static_cast<char>(model_id);
-  }
+  put<std::uint32_t>(header + 8,
+                     model_id == 0 ? kTraceVersion : kTraceVersionModel);
+  put<std::uint32_t>(header + 12, model_id);  // u8 id + 3 zero bytes
   os_->write(header, sizeof(header));
   if (!*os_) {
     throw std::runtime_error("TraceRecorder: failed to write header");
@@ -117,7 +84,7 @@ TraceReplayer::TraceReplayer(std::istream& is) : is_(&is) {
   is_->read(header, sizeof(header));
   const std::streamsize got = is_->gcount();
   if (got != static_cast<std::streamsize>(sizeof(header))) {
-    error_ = TraceError{TraceError::Kind::kTruncatedHeader,
+    error_ = TraceError{kFormat, Kind::kTruncatedHeader,
                         static_cast<std::uint64_t>(got),
                         "got " + std::to_string(got) + " of " +
                             std::to_string(kTraceHeaderBytes) +
@@ -125,13 +92,13 @@ TraceReplayer::TraceReplayer(std::istream& is) : is_(&is) {
     throw TraceFormatError(*error_);
   }
   if (std::memcmp(header, kTraceMagic, sizeof(kTraceMagic)) != 0) {
-    error_ = TraceError{TraceError::Kind::kBadMagic, 0,
+    error_ = TraceError{kFormat, Kind::kBadMagic, 0,
                         "not a fluxfp event trace"};
     throw TraceFormatError(*error_);
   }
-  const std::uint32_t version = unpack_u32(header + 8);
+  const auto version = get<std::uint32_t>(header + 8);
   if (version != kTraceVersion && version != kTraceVersionModel) {
-    error_ = TraceError{TraceError::Kind::kBadVersion, 8,
+    error_ = TraceError{kFormat, Kind::kBadVersion, 8,
                         "trace version " + std::to_string(version) +
                             ", this build speaks " +
                             std::to_string(kTraceVersion) + " and " +
@@ -139,9 +106,9 @@ TraceReplayer::TraceReplayer(std::istream& is) : is_(&is) {
     throw TraceFormatError(*error_);
   }
   if (version == kTraceVersionModel) {
-    const auto raw = static_cast<std::uint8_t>(header[12]);
+    const auto raw = get<std::uint8_t>(header + 12);
     if (!core::known_model_id(raw)) {
-      error_ = TraceError{TraceError::Kind::kBadVersion, 12,
+      error_ = TraceError{kFormat, Kind::kBadVersion, 12,
                           "unknown observation-model id " +
                               std::to_string(raw)};
       throw TraceFormatError(*error_);
@@ -160,14 +127,14 @@ bool TraceReplayer::try_next(FluxEvent& out) {
   const std::streamsize got = is_->gcount();
   if (got == 0) {
     if (is_->bad()) {
-      error_ = TraceError{TraceError::Kind::kBadStream, offset_,
+      error_ = TraceError{kFormat, Kind::kBadStream, offset_,
                           "read failed mid-trace"};
     }
     return false;
   }
   if (got != static_cast<std::streamsize>(sizeof(record))) {
     error_ = TraceError{
-        TraceError::Kind::kTruncatedRecord, offset_,
+        kFormat, Kind::kTruncatedRecord, offset_,
         "record " + std::to_string(read_) + " has " + std::to_string(got) +
             " of " + std::to_string(kTraceRecordBytes) + " bytes"};
     return false;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "stream/event.hpp"
+#include "support/bytes.hpp"
 
 namespace fluxfp::stream {
 
@@ -24,9 +25,10 @@ class TrackerManager;
 ///                           3 reserved zero bytes
 /// followed by one 28-byte record per event:
 ///   f64 time, u32 user, u32 epoch, u32 node, f64 reading
-/// Values are raw host-endian bytes (memcpy) — readings round-trip
-/// BIT-exactly, including the NaN payload of net::kMissingReading, so a
-/// recorded run replays into bit-identical estimates. The event count is
+/// Values are little-endian (support/bytes.hpp, enforced at compile time)
+/// — readings round-trip BIT-exactly, including the NaN payload of
+/// net::kMissingReading, so a recorded run replays into bit-identical
+/// estimates. The event count is
 /// implied by the stream length; a recorder can therefore stream records
 /// without seeking back.
 ///
@@ -77,22 +79,9 @@ class TraceRecorder {
 
 /// Typed malformation report of a trace stream: what went wrong, at which
 /// byte offset of the trace, and why — precise enough to locate the bad
-/// record in a multi-gigabyte capture.
-struct TraceError {
-  enum class Kind {
-    kTruncatedHeader,  ///< fewer than 16 header bytes
-    kBadMagic,         ///< not a FLUXFPT1 trace
-    kBadVersion,       ///< version this build does not speak
-    kTruncatedRecord,  ///< a record cut short mid-field
-    kBadStream,        ///< the stream itself failed (open/read error)
-  };
-  Kind kind = Kind::kBadStream;
-  std::uint64_t offset = 0;  ///< byte offset where the failure was detected
-  std::string reason;
-
-  /// "offset 16: truncated record ..." — for logs and error messages.
-  std::string to_string() const;
-};
+/// record in a multi-gigabyte capture. The same type as
+/// stream::CheckpointError and netio::WireError.
+using TraceError = support::DecodeError;
 
 /// The throwing face of a TraceError. Derives std::runtime_error so
 /// callers that only care that the trace is bad keep working; callers
