@@ -1,6 +1,5 @@
 #include "stream/checkpoint.hpp"
 
-#include <array>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -8,37 +7,15 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "support/crc32.hpp"
+
 namespace fluxfp::stream {
 
 namespace {
 
-// CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) — the same
-// polynomial zlib uses, table-driven.
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  return table;
-}
-
-std::uint32_t crc32(std::string_view data) {
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (const char ch : data) {
-    c = crc_table()[(c ^ static_cast<unsigned char>(ch)) & 0xFFu] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
-
 using support::ByteReader;
 using support::ByteWriter;
+using support::crc32;
 using Kind = CheckpointError::Kind;
 
 constexpr std::string_view kFormat(kCheckpointMagic, sizeof(kCheckpointMagic));

@@ -46,7 +46,10 @@ struct FluxEvent {
 
 /// Merges several already time-ordered event sequences into one stream
 /// ordered by event time (stable across inputs: ties keep the earlier
-/// input's events first, so the merged order is deterministic).
+/// input's events first, so the merged order is deterministic). O(N log k)
+/// for N events over k streams. Precondition: no event time is NaN (no
+/// producer emits one, and NaN has no place in a time order); throws
+/// std::invalid_argument on one.
 std::vector<FluxEvent> merge_by_time(
     std::span<const std::vector<FluxEvent>> streams);
 

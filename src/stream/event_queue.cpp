@@ -1,7 +1,10 @@
 #include "stream/event_queue.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/instrument.hpp"
 
@@ -15,22 +18,37 @@ std::vector<FluxEvent> merge_by_time(
     total += s.size();
   }
   merged.reserve(total);
-  // k-way merge by repeated minimum — k (session count) is small and the
-  // stability requirement (ties keep the earlier stream first) falls out
-  // of the strict < comparison in input order.
+  // k-way merge through a binary min-heap of (head time, stream index):
+  // O(N log k) for N events over k streams (serve merges hundreds of
+  // sessions). The index breaks time ties, so equal times keep the
+  // earlier stream first; each stream's own order is kept by its cursor.
+  using Head = std::pair<double, std::size_t>;
   std::vector<std::size_t> cursor(streams.size(), 0);
-  for (std::size_t taken = 0; taken < total; ++taken) {
-    std::size_t best = streams.size();
-    for (std::size_t s = 0; s < streams.size(); ++s) {
-      if (cursor[s] >= streams[s].size()) {
-        continue;
-      }
-      if (best == streams.size() ||
-          streams[s][cursor[s]].time < streams[best][cursor[best]].time) {
-        best = s;
-      }
+  std::vector<Head> heap;
+  heap.reserve(streams.size());
+  const auto head = [&](std::size_t s) {
+    const double time = streams[s][cursor[s]].time;
+    if (std::isnan(time)) {
+      throw std::invalid_argument("merge_by_time: event time is NaN");
     }
-    merged.push_back(streams[best][cursor[best]++]);
+    return Head{time, s};
+  };
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    if (!streams[s].empty()) {
+      heap.push_back(head(s));
+    }
+  }
+  std::make_heap(heap.begin(), heap.end(), std::greater<>());
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+    const std::size_t s = heap.back().second;
+    merged.push_back(streams[s][cursor[s]++]);
+    if (cursor[s] < streams[s].size()) {
+      heap.back() = head(s);
+      std::push_heap(heap.begin(), heap.end(), std::greater<>());
+    } else {
+      heap.pop_back();
+    }
   }
   return merged;
 }

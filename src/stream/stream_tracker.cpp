@@ -182,6 +182,7 @@ EpochResult StreamTracker::fire_oldest() {
                                           std::move(window.readings),
                                           std::vector<bool>());
     result.readings = objective.sample_count();
+    rng_text_.clear();  // before the step: a throwing step may move rng_
     result.step = smc_.step(result.time, objective, rng_, epoch_arena_);
     const auto t1 = std::chrono::steady_clock::now();
     result.filter_micros =
@@ -205,13 +206,14 @@ EpochResult StreamTracker::fire_oldest() {
 
 StreamTrackerState StreamTracker::save_state() const {
   StreamTrackerState state;
-  {
+  if (rng_text_.empty()) {
     // mt19937_64's stream operators serialize the engine's integral words
     // in decimal; reading them back reproduces the exact stream position.
     std::ostringstream os;
     os << rng_;
-    state.rng = os.str();
+    rng_text_ = os.str();
   }
+  state.rng = rng_text_;
   state.smc = smc_.save_state();
   state.open.reserve(open_.size());
   for (const auto& [epoch, window] : open_) {
@@ -258,6 +260,7 @@ void StreamTracker::restore_state(const StreamTrackerState& state) {
   // snapshot never leaves the tracker half-restored.
   smc_.restore_state(state.smc);  // validates its own shapes; throws first
   rng_ = restored_rng;
+  rng_text_.clear();
   open_.clear();
   for (const WindowState& ws : state.open) {
     Window w;

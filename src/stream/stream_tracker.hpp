@@ -166,7 +166,8 @@ class StreamTracker {
   /// Snapshot of all mutable session state. A tracker constructed with the
   /// same inputs and restored from the snapshot folds every subsequent
   /// event bit-identically to one that never stopped (readings round-trip
-  /// NaN-exactly; the RNG resumes mid-stream).
+  /// NaN-exactly; the RNG resumes mid-stream). Const, but it fills the
+  /// RNG text memo: it must not race another save_state() or a fire.
   StreamTrackerState save_state() const;
   /// Restores a snapshot from a tracker with the same sniffer count.
   /// Throws std::invalid_argument on malformed state (window slot counts
@@ -196,6 +197,13 @@ class StreamTracker {
   std::unordered_map<std::uint32_t, std::size_t> node_slot_;
   StreamTrackerConfig config_;
   geom::Rng rng_;
+  /// Memo of rng_'s decimal text, filled by save_state() when empty.
+  /// Cleared before every use of rng_ (the SMC step) and by
+  /// restore_state(), so it is either empty or exactly `os << rng_`: a
+  /// checkpoint re-serializes only the sessions that fired since the last
+  /// one. Unlocked: save_state() runs only while no worker can fire this
+  /// session (quiesced or not started), ordered by the manager's mutexes.
+  mutable std::string rng_text_;
   core::SmcTracker smc_;
   /// Epoch-scoped scratch threaded through every SMC step: reset at the
   /// start of each fired window, so steady-state epochs run allocation-free

@@ -2,20 +2,26 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 namespace fluxfp::trace {
 
 Trace generate_trace(std::vector<AccessPoint> aps,
                      const TraceGenConfig& config, geom::Rng& rng) {
-  if (aps.empty() || config.num_users == 0 || !(config.duration > 0.0)) {
+  if (aps.empty() || config.num_users == 0 || !(config.duration > 0.0) ||
+      !(config.median_dwell > 0.0) || !(config.dwell_sigma >= 0.0)) {
     throw std::invalid_argument("generate_trace: bad inputs");
   }
   Trace trace;
   trace.aps = std::move(aps);
 
-  const double mu = std::log(config.median_dwell);
-  std::lognormal_distribution<double> dwell(mu, config.dwell_sigma);
+  // lognormal_distribution requires sigma > 0; sigma 0 is a fixed dwell
+  // of median_dwell and draws nothing.
+  std::optional<std::lognormal_distribution<double>> dwell;
+  if (config.dwell_sigma > 0.0) {
+    dwell.emplace(std::log(config.median_dwell), config.dwell_sigma);
+  }
   std::uniform_real_distribution<double> unit(0.0, 1.0);
   std::uniform_int_distribution<std::size_t> any_ap(0, trace.aps.size() - 1);
 
@@ -26,7 +32,7 @@ Trace generate_trace(std::vector<AccessPoint> aps,
     double t = unit(rng) * config.median_dwell;
     trace.events.push_back({name, t, trace.aps[cur].id});
     while (true) {
-      t += std::max(dwell(rng), 1.0);
+      t += std::max(dwell ? (*dwell)(rng) : config.median_dwell, 1.0);
       if (t >= config.duration) {
         break;
       }

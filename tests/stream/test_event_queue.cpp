@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <random>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -281,6 +286,102 @@ TEST(EventQueue, MultipleProducersLoseNothingUnderBlock) {
   }
   closer.join();
   EXPECT_EQ(total, static_cast<std::size_t>(kProducers * kPerProducer));
+}
+
+/// The repeated-minimum scan merge_by_time used before its heap, kept as
+/// the order oracle: the first stream (in input order) whose head time is
+/// strictly smallest goes next.
+std::vector<FluxEvent> merge_by_scan(
+    std::span<const std::vector<FluxEvent>> streams) {
+  std::vector<FluxEvent> merged;
+  std::vector<std::size_t> cursor(streams.size(), 0);
+  while (true) {
+    std::size_t best = streams.size();
+    for (std::size_t s = 0; s < streams.size(); ++s) {
+      if (cursor[s] < streams[s].size() &&
+          (best == streams.size() ||
+           streams[s][cursor[s]].time < streams[best][cursor[best]].time)) {
+        best = s;
+      }
+    }
+    if (best == streams.size()) {
+      return merged;
+    }
+    merged.push_back(streams[best][cursor[best]++]);
+  }
+}
+
+/// Exact order check: `node` carries each event's (stream, index) tag.
+void expect_same_order(const std::vector<FluxEvent>& got,
+                       const std::vector<FluxEvent>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].node, want[i].node) << "position " << i;
+    ASSERT_EQ(got[i].user, want[i].user) << "position " << i;
+  }
+}
+
+TEST(MergeByTime, MatchesTheRepeatedMinimumScan) {
+  // A small pool of times so ties are common, both across streams and
+  // within one; signed zeros compare equal and must tie too.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double> pool = {-kInf, -1.5, -0.0, 0.0, 0.25,
+                                    0.25,  1.0,  3.0,  kInf};
+  std::mt19937_64 rng(20100621);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t k = rng() % 12;
+    std::vector<std::vector<FluxEvent>> streams(k);
+    for (std::size_t s = 0; s < k; ++s) {
+      const std::size_t n = rng() % 4 == 0 ? 0 : rng() % 40;
+      std::vector<double> times(n);
+      for (double& t : times) {
+        t = pool[rng() % pool.size()];
+      }
+      std::sort(times.begin(), times.end());
+      for (std::size_t i = 0; i < n; ++i) {
+        streams[s].push_back({times[i], static_cast<std::uint32_t>(s), 0,
+                              static_cast<std::uint32_t>(i), 1.0});
+      }
+    }
+    const std::span<const std::vector<FluxEvent>> in(streams);
+    expect_same_order(merge_by_time(in), merge_by_scan(in));
+  }
+}
+
+TEST(MergeByTime, EdgeShapes) {
+  EXPECT_TRUE(merge_by_time({}).empty());
+
+  std::vector<std::vector<FluxEvent>> one = {
+      {{0.0, 0, 0, 0, 1.0}, {0.0, 0, 0, 1, 1.0}, {2.0, 0, 0, 2, 1.0}}};
+  expect_same_order(merge_by_time(one), one[0]);
+
+  // Cross-stream ties keep the earlier stream first; empty streams
+  // anywhere in the input are skipped.
+  std::vector<std::vector<FluxEvent>> ties = {
+      {},
+      {{1.0, 1, 0, 0, 1.0}, {1.0, 1, 0, 1, 1.0}},
+      {},
+      {{1.0, 3, 0, 0, 1.0}}};
+  const std::vector<FluxEvent> merged = merge_by_time(ties);
+  ASSERT_EQ(merged.size(), 3u);
+  EXPECT_EQ(merged[0].user, 1u);
+  EXPECT_EQ(merged[1].user, 1u);
+  EXPECT_EQ(merged[1].node, 1u);
+  EXPECT_EQ(merged[2].user, 3u);
+}
+
+TEST(MergeByTime, RejectsNaNTimes) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // At a stream's head and behind a head.
+  const std::vector<std::vector<FluxEvent>> at_head = {
+      {{0.0, 0, 0, 0, 1.0}}, {{nan, 1, 0, 0, 1.0}}};
+  EXPECT_THROW(merge_by_time(at_head), std::invalid_argument);
+  const std::vector<std::vector<FluxEvent>> behind = {
+      {{0.0, 0, 0, 0, 1.0}, {1.0, 0, 0, 1, 1.0}, {nan, 0, 0, 2, 1.0}}};
+  EXPECT_THROW(merge_by_time(behind), std::invalid_argument);
+  // A NaN reading is a missing reading, not a bad time.
+  const std::vector<std::vector<FluxEvent>> missing = {{{0.0, 0, 0, 0, nan}}};
+  EXPECT_EQ(merge_by_time(missing).size(), 1u);
 }
 
 }  // namespace
