@@ -143,8 +143,11 @@ BENCHMARK(BM_ConditionalFitEvaluate)->Arg(1)->Arg(3)->Arg(8)->Arg(20);
 // candidate in the last slot, scoring a batch of 400 candidate columns on
 // one thread. Above kGramEnumerationLimit this is the Lawson–Hanson prefix
 // cache (recorded once per construction, replayed per candidate), which
-// BM_ConditionalFitEvaluate's leading varying slot never reaches.
-void BM_ConditionalFitBatch(benchmark::State& state) {
+// BM_ConditionalFitEvaluate's leading varying slot never reaches. The
+// candidate_first / candidate_last cases at k = 2 and 4 time the
+// lane-batched subset enumeration with the localizer's leading slot and
+// the SMC sweep's last one.
+void BM_ConditionalFitBatch(benchmark::State& state, bool candidate_first) {
   const std::size_t k = static_cast<std::size_t>(state.range(0));
   numeric::set_thread_count(1);
   const core::SparseObjective obj = make_objective(90, k);
@@ -163,7 +166,7 @@ void BM_ConditionalFitBatch(benchmark::State& state) {
   obj.shape_columns(sinks, block);
   std::vector<double> residuals(sinks.size());
   for (auto _ : state) {
-    const core::ConditionalFit cond(obj, fixed, k - 1);
+    const core::ConditionalFit cond(obj, fixed, candidate_first ? 0 : k - 1);
     cond.evaluate_batch(block, residuals);
     benchmark::DoNotOptimize(residuals.data());
     benchmark::ClobberMemory();
@@ -172,7 +175,16 @@ void BM_ConditionalFitBatch(benchmark::State& state) {
                           static_cast<int64_t>(sinks.size()));
   numeric::set_thread_count(0);
 }
+void BM_ConditionalFitBatch(benchmark::State& state) {
+  BM_ConditionalFitBatch(state, false);
+}
 BENCHMARK(BM_ConditionalFitBatch)->Arg(12)->Arg(20);
+BENCHMARK_CAPTURE(BM_ConditionalFitBatch, candidate_first, true)
+    ->Arg(2)
+    ->Arg(4);
+BENCHMARK_CAPTURE(BM_ConditionalFitBatch, candidate_last, false)
+    ->Arg(2)
+    ->Arg(4);
 
 // ConditionalFit construction: the fixed Gram block + fixed c dot products
 // that every conditional sweep pays before its first candidate.

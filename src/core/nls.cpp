@@ -397,8 +397,8 @@ namespace {
 /// [from, m) are computed, each entry with the same arithmetic as in a
 /// full factorization. Returns false if a pivot is not (numerically)
 /// positive. Forced inline (like back_substitute) so each caller gets a
-/// copy specialized to its call site; one shared out-of-line solve
-/// measured ~20% slower on BM_NnlsFromGram/2.
+/// copy specialized to its call site. numeric::simd::subset_nnls runs the
+/// same operations per lane for k <= kGramEnumerationLimit.
 [[gnu::always_inline]] inline bool factor_support(
     std::span<const double> g, std::size_t k, std::span<const double> c,
     const std::size_t* idx, std::size_t m, std::size_t from, double* l,
@@ -458,40 +458,6 @@ std::size_t support_of(std::uint32_t mask, std::size_t k, std::size_t* idx) {
     }
   }
   return m;
-}
-
-/// Subset solve used by the exhaustive enumeration: the Cholesky solve on
-/// the columns in `mask`, rejecting a solution with a negative entry; reports
-/// the full-size solution plus s^T c.
-bool solve_subset(std::span<const double> g, std::size_t k,
-                  std::span<const double> c, unsigned mask,
-                  std::span<double> x, double& sc) {
-  std::size_t idx[kMaxGramUsers];
-  const std::size_t m = support_of(mask, k, idx);
-  if (m == 0) {
-    return false;
-  }
-  double l[kMaxGramUsers * kMaxGramUsers];
-  double y[kMaxGramUsers];
-  if (!factor_support(g, k, c, idx, m, 0, l, y)) {
-    return false;
-  }
-  double z[kMaxGramUsers];
-  back_substitute(l, y, m, z);
-  for (std::size_t t = 0; t < m; ++t) {
-    if (z[t] < 0.0) {
-      return false;
-    }
-  }
-  for (std::size_t j = 0; j < k; ++j) {
-    x[j] = 0.0;
-  }
-  sc = 0.0;
-  for (std::size_t j = 0; j < m; ++j) {
-    x[idx[j]] = z[j];
-    sc += z[j] * c[idx[j]];
-  }
-  return true;
 }
 
 // --- Lawson–Hanson active-set NNLS on the normal equations ---------------
@@ -677,54 +643,38 @@ double gram_residual(std::span<const double> g, std::size_t k,
 }
 
 /// Allocation-free core of nnls_from_gram: writes the k stretches to `s`
-/// (stack buffer of the caller) and returns the residual. The public
-/// wrapper and the per-candidate batch evaluator share this exact
-/// arithmetic, which is what makes parallel batch output bit-identical to
-/// serial StretchFit-returning calls.
+/// (stack buffer of the caller) and returns the residual. For k above the
+/// enumeration limit this is the Lawson–Hanson loop that ConditionalFit's
+/// uncached solve shares; up to it, the subset-enumeration kernel with the
+/// one problem in every lane.
 double nnls_from_gram_into(std::span<const double> g, std::size_t k,
                            std::span<const double> c, double b2, double* s) {
-  for (std::size_t j = 0; j < k; ++j) {
-    s[j] = 0.0;
-  }
-
   if (k > kGramEnumerationLimit) {
+    for (std::size_t j = 0; j < k; ++j) {
+      s[j] = 0.0;
+    }
     const ActiveSetProblem p{g, k, c, active_set_tol(max_abs(c)),
                              active_set_max_iter(k)};
     run_active_set(p, 0, s, 0);
     return gram_residual(g, k, c, b2, s);
   }
-
-  // Fast path: if the unconstrained optimum over all k columns is already
-  // non-negative it *is* the NNLS optimum — one Cholesky instead of the
-  // subset sweep. This covers the common well-separated-columns case.
-  double best_r2 = b2;
-  double x[kMaxGramUsers];
-  const unsigned full = (1u << k) - 1;
-  {
-    double sc = 0.0;
-    if (solve_subset(g, k, c, full, std::span<double>(x, k), sc)) {
-      for (std::size_t j = 0; j < k; ++j) {
-        s[j] = x[j];
-      }
-      return std::sqrt(std::max(b2 - sc, 0.0));
-    }
+  const std::size_t lanes = numeric::simd::lane_count();
+  double gp[kGramEnumerationLimit * kGramEnumerationLimit *
+            numeric::simd::kMaxLanes];
+  double cp[kGramEnumerationLimit * numeric::simd::kMaxLanes];
+  for (std::size_t e = 0; e < k * k; ++e) {
+    std::fill_n(gp + e * lanes, lanes, g[e]);
   }
-  // Empty support: s = 0, residual^2 = b2. For a subset solution solving
-  // exactly on its support, residual^2 = b2 - s^T c.
-  for (unsigned mask = 1; mask < full; ++mask) {
-    double sc = 0.0;
-    if (!solve_subset(g, k, c, mask, std::span<double>(x, k), sc)) {
-      continue;
-    }
-    const double r2 = b2 - sc;
-    if (r2 < best_r2) {
-      best_r2 = r2;
-      for (std::size_t j = 0; j < k; ++j) {
-        s[j] = x[j];
-      }
-    }
+  for (std::size_t e = 0; e < k; ++e) {
+    std::fill_n(cp + e * lanes, lanes, c[e]);
   }
-  return std::sqrt(std::max(best_r2, 0.0));
+  double residual[numeric::simd::kMaxLanes];
+  double sp[kGramEnumerationLimit * numeric::simd::kMaxLanes];
+  numeric::simd::subset_nnls(gp, cp, k, b2, nullptr, residual, sp);
+  for (std::size_t j = 0; j < k; ++j) {
+    s[j] = sp[j * lanes];
+  }
+  return residual[0];
 }
 
 }  // namespace
@@ -770,7 +720,15 @@ ConditionalFit::ConditionalFit(
     }
     fixed_c_[a] = numeric::simd::dot(fixed_[a].data(), b.data(), n);
   }
-  if (kf + 1 > kGramEnumerationLimit && vary_index == kf) {
+  if (kf + 1 <= kGramEnumerationLimit) {
+    // The cached supports never read the candidate's row and column.
+    double g[kGramEnumerationLimit * kGramEnumerationLimit];
+    double c[kGramEnumerationLimit];
+    const double cross[kGramEnumerationLimit] = {};
+    assemble(cross, 0.0, 0.0, g, c, 1, 0);
+    numeric::simd::build_subset_cache(g, c, kf + 1, vary_index,
+                                      subset_cache_);
+  } else if (vary_index == kf) {
     record_prefix();
   }
 }
@@ -838,53 +796,122 @@ void ConditionalFit::evaluate_batch(const ColumnBlock& block,
        vary_stretch_out.size() != block.cols())) {
     throw std::invalid_argument("evaluate_batch: dimension mismatch");
   }
-  numeric::parallel_for(0, block.cols(), [&](std::size_t c) {
-    double s[kMaxGramUsers];
-    residuals_out[c] = evaluate_into(block.column(c), s);
-    if (!vary_stretch_out.empty()) {
-      vary_stretch_out[c] = s[vary_index_];
+  const std::size_t k = user_count();
+  if (k > kGramEnumerationLimit) {
+    numeric::parallel_for(0, block.cols(), [&](std::size_t c) {
+      double s[kMaxGramUsers];
+      residuals_out[c] = evaluate_into(block.column(c), s);
+      if (!vary_stretch_out.empty()) {
+        vary_stretch_out[c] = s[vary_index_];
+      }
+    });
+    return;
+  }
+  // One task per lane pack of candidates; the last pack may be partial.
+  const std::size_t lanes = numeric::simd::lane_count();
+  const std::size_t packs = (block.cols() + lanes - 1) / lanes;
+  numeric::parallel_for(0, packs, [&](std::size_t pack) {
+    const std::size_t first = pack * lanes;
+    const std::size_t count = std::min(lanes, block.cols() - first);
+    std::span<const double> columns[numeric::simd::kMaxLanes];
+    for (std::size_t i = 0; i < count; ++i) {
+      columns[i] = block.column(first + i);
+    }
+    double residuals[numeric::simd::kMaxLanes];
+    double s[numeric::simd::kMaxLanes * kGramEnumerationLimit];
+    score_lanes(columns, count, residuals, s);
+    for (std::size_t i = 0; i < count; ++i) {
+      residuals_out[first + i] = residuals[i];
+      if (!vary_stretch_out.empty()) {
+        vary_stretch_out[first + i] = s[i * k + vary_index_];
+      }
     }
   });
+}
+
+void ConditionalFit::candidate_terms(std::span<const double> candidate_column,
+                                     double* cross, double& self,
+                                     double& cb) const {
+  // The dot kernels are the measured hot path of the sweep.
+  const std::size_t n = obj_->sample_count();
+  for (std::size_t a = 0; a < fixed_count_; ++a) {
+    cross[a] =
+        numeric::simd::dot(fixed_[a].data(), candidate_column.data(), n);
+  }
+  numeric::simd::dot_self_and_b(candidate_column.data(),
+                                obj_->measured().data(), n, &self, &cb);
+}
+
+void ConditionalFit::assemble(const double* cross, double self, double cb,
+                              double* g, double* c, std::size_t stride,
+                              std::size_t lane) const {
+  // Slot mapping: output index vary_index_ -> candidate; fixed column a
+  // keeps its relative order around it.
+  const std::size_t kf = fixed_count_;
+  const std::size_t k = kf + 1;
+  const std::size_t v = vary_index_;
+  const auto at = [&](std::size_t i, std::size_t j) -> double& {
+    return g[(i * k + j) * stride + lane];
+  };
+  for (std::size_t a = 0; a < kf; ++a) {
+    const std::size_t sa = a < v ? a : a + 1;
+    c[sa * stride + lane] = fixed_c_[a];
+    for (std::size_t bI = 0; bI < kf; ++bI) {
+      at(sa, bI < v ? bI : bI + 1) = fixed_gram_[a * kf + bI];
+    }
+    at(sa, v) = cross[a];
+    at(v, sa) = cross[a];
+  }
+  at(v, v) = self;
+  c[v * stride + lane] = cb;
+}
+
+void ConditionalFit::score_lanes(const std::span<const double>* columns,
+                                 std::size_t count, double* residuals,
+                                 double* stretches) const {
+  const std::size_t k = user_count();
+  const std::size_t lanes = numeric::simd::lane_count();
+  double g[kGramEnumerationLimit * kGramEnumerationLimit *
+           numeric::simd::kMaxLanes];
+  double c[kGramEnumerationLimit * numeric::simd::kMaxLanes];
+  double cross[kGramEnumerationLimit];
+  double self = 0.0;
+  double cb = 0.0;
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    // Spare lanes repeat the last candidate and are not read back.
+    if (lane < count) {
+      candidate_terms(columns[lane], cross, self, cb);
+    }
+    assemble(cross, self, cb, g, c, lanes, lane);
+  }
+  const double b2 = obj_->measured_norm() * obj_->measured_norm();
+  double res[numeric::simd::kMaxLanes];
+  double s[kGramEnumerationLimit * numeric::simd::kMaxLanes];
+  numeric::simd::subset_nnls(g, c, k, b2, &subset_cache_, res, s);
+  for (std::size_t i = 0; i < count; ++i) {
+    residuals[i] = res[i];
+    for (std::size_t j = 0; j < k; ++j) {
+      stretches[i * k + j] = s[j * lanes + i];
+    }
+  }
 }
 
 double ConditionalFit::evaluate_into(std::span<const double> candidate_column,
                                      double* stretches) const {
   const std::size_t kf = fixed_count_;
   const std::size_t k = kf + 1;
-  const std::size_t n = obj_->sample_count();
-  const std::vector<double>& b = obj_->measured();
-
-  // Cross terms of the candidate with the fixed columns, itself, and b —
-  // all through the dot kernels (the measured hot path of the sweep).
-  double cross[kMaxGramUsers];
-  for (std::size_t a = 0; a < kf; ++a) {
-    cross[a] =
-        numeric::simd::dot(fixed_[a].data(), candidate_column.data(), n);
+  if (k <= kGramEnumerationLimit) {
+    double residual = 0.0;
+    score_lanes(&candidate_column, 1, &residual, stretches);
+    return residual;
   }
+  double cross[kMaxGramUsers];
   double self = 0.0;
   double cb = 0.0;
-  numeric::simd::dot_self_and_b(candidate_column.data(), b.data(), n, &self,
-                                &cb);
-
-  // Assemble the K x K Gram with the candidate inserted at vary_index_.
-  // Slot mapping: output index vary_index_ -> candidate; fixed column a
-  // keeps its relative order around it.
+  candidate_terms(candidate_column, cross, self, cb);
   double g[kMaxGramUsers * kMaxGramUsers];
   double c[kMaxGramUsers];
-  auto slot_of_fixed = [&](std::size_t a) {
-    return a < vary_index_ ? a : a + 1;
-  };
-  for (std::size_t a = 0; a < kf; ++a) {
-    const std::size_t sa = slot_of_fixed(a);
-    c[sa] = fixed_c_[a];
-    for (std::size_t bI = 0; bI < kf; ++bI) {
-      g[sa * k + slot_of_fixed(bI)] = fixed_gram_[a * kf + bI];
-    }
-    g[sa * k + vary_index_] = cross[a];
-    g[vary_index_ * k + sa] = cross[a];
-  }
-  g[vary_index_ * k + vary_index_] = self;
-  c[vary_index_] = cb;
+  assemble(cross, self, cb, g, c, 1, 0);
 
   const double b2 = obj_->measured_norm() * obj_->measured_norm();
   const std::span<const double> gs(g, k * k);

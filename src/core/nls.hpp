@@ -9,6 +9,7 @@
 
 #include "core/flux_model.hpp"
 #include "geom/vec2.hpp"
+#include "numeric/simd/kernels.hpp"
 
 namespace fluxfp::core {
 
@@ -268,9 +269,10 @@ class SparseObjective {
 /// Maximum K supported by the Gram-space NNLS.
 inline constexpr std::size_t kMaxGramUsers = 32;
 /// Up to this K, support subsets are enumerated exhaustively (2^K - 1
-/// Cholesky solves — exact and branch-free); above it, a Lawson–Hanson
-/// active-set iteration in Gram space takes over.
-inline constexpr std::size_t kGramEnumerationLimit = 6;
+/// Cholesky solves in the lane-batched numeric::simd::subset_nnls kernel);
+/// above it, a Lawson–Hanson active-set iteration in Gram space takes over.
+inline constexpr std::size_t kGramEnumerationLimit =
+    numeric::simd::kSubsetMaxK;
 /// Bound on the Lawson–Hanson outer iterations (3k + 10) at k =
 /// kMaxGramUsers.
 inline constexpr std::size_t kMaxActiveSetIterations = 3 * kMaxGramUsers + 10;
@@ -289,6 +291,16 @@ StretchFit nnls_from_gram(std::span<const double> g, std::size_t k,
 /// shape columns stay fixed while the column of one user sweeps over
 /// candidates. Precomputes the fixed Gram block and fixed c entries so each
 /// candidate costs O(n*K) flops plus a tiny Gram-space NNLS.
+///
+/// Subset cache and lanes: for K <= kGramEnumerationLimit, construction
+/// solves the 2^(K-1) - 1 supports that leave out the candidate's slot
+/// once (numeric::simd::build_subset_cache), and candidates are scored
+/// numeric::simd::lane_count() at a time: their assembled Grams go
+/// lane-interleaved through numeric::simd::subset_nnls, which solves only
+/// the supports that include the candidate. Each lane runs the scalar
+/// enumeration's operations in its order, so a score does not depend on
+/// its lane, its batch or the backend's lane count; evaluate() is the
+/// same kernel call with one live lane.
 ///
 /// Prefix cache: for K > kGramEnumerationLimit with the candidate in the
 /// last slot (vary_index == K-1, the SMC sweep's shape), construction also
@@ -338,6 +350,19 @@ class ConditionalFit {
   /// vector (user_count() entries) to `stretches`; returns the residual.
   double evaluate_into(std::span<const double> candidate_column,
                        double* stretches) const;
+  /// The candidate's dot products with the fixed columns (cross), with
+  /// itself and with the measured vector.
+  void candidate_terms(std::span<const double> candidate_column,
+                       double* cross, double& self, double& cb) const;
+  /// Writes the K x K Gram and c with the candidate at vary_index_: entry
+  /// e at g[e * stride + lane] and c[e * stride + lane].
+  void assemble(const double* cross, double self, double cb, double* g,
+                double* c, std::size_t stride, std::size_t lane) const;
+  /// K <= kGramEnumerationLimit: scores columns[0..count), count <=
+  /// lane_count(), in one subset_nnls call. residuals[i] and the K
+  /// stretches at stretches[i * K] belong to column i.
+  void score_lanes(const std::span<const double>* columns, std::size_t count,
+                   double* residuals, double* stretches) const;
   /// Runs the candidate-free active-set solve and fills the prefix_*
   /// members.
   void record_prefix();
@@ -354,6 +379,8 @@ class ConditionalFit {
   std::array<std::span<const double>, kMaxGramUsers> fixed_;
   std::array<double, kMaxGramUsers * kMaxGramUsers> fixed_gram_;  // row-major
   std::array<double, kMaxGramUsers> fixed_c_;
+  // K <= kGramEnumerationLimit: the supports without the candidate.
+  numeric::simd::SubsetCache subset_cache_;
   // Candidate-free Lawson–Hanson prefix. Per recorded outer iteration:
   // the iterate before the pick (a row of K stretches whose last, the
   // candidate's, is zero), the passive-set bitmask, and the running

@@ -271,7 +271,10 @@ SmcStepResult SmcTracker::step(double time,
   // users: the fig10 trace-driven run (20 users) measures k = 7..19 with a
   // mode of 11, as stale representatives absorb model misfit. That is why
   // the candidate goes in the last slot, where ConditionalFit's
-  // Lawson–Hanson prefix cache applies.
+  // Lawson–Hanson prefix cache applies. Supports of at most 6 (the fig6 /
+  // fig8 sweeps, and every single-user round) take the lane-batched subset
+  // enumeration instead, which reads the candidate-free supports from a
+  // cache built with the fit.
   const std::span<double> last_residuals_flat =
       arena.alloc<double>(k * n_pred);
   const auto last_residuals = [&](std::size_t j) {
@@ -291,7 +294,11 @@ SmcStepResult SmcTracker::step(double time,
       objective.shape_columns(cand_pos, cand_cols_[j]);
     }
   }
-  for (int sweep = 0; sweep < config_.sweeps; ++sweep) {
+  // A lone user's conditional fit has no fixed columns, so its scores do
+  // not depend on the representatives and a second sweep would repeat the
+  // first bit for bit: one sweep suffices.
+  const int sweeps = k == 1 ? std::min(config_.sweeps, 1) : config_.sweeps;
+  for (int sweep = 0; sweep < sweeps; ++sweep) {
     // Support of the joint fit at the current representatives. Columns
     // whose stretch is a sliver of the largest are noise-absorbers (stale
     // reps soaking up model misfit), not users — drop them too.

@@ -86,10 +86,12 @@ struct Batch {
   }
 };
 
-/// Persistent worker pool. Batches are serialized: run() publishes one
-/// batch, every worker processes it exactly once (possibly finding no
-/// chunks left), and run() returns only after all workers have checked
-/// back in — so the stack-allocated Batch never outlives its region.
+/// Persistent worker pool. Batches are serialized: try_run() publishes
+/// one batch, every worker processes it exactly once (possibly finding no
+/// chunks left), and try_run() returns only after all workers have checked
+/// back in — so the stack-allocated Batch never outlives its region. One
+/// external caller holds the pool at a time; a second one is turned away
+/// instead of overwriting the batch in flight.
 class Pool {
  public:
   static Pool& instance() {
@@ -97,8 +99,15 @@ class Pool {
     return pool;
   }
 
-  void run(Batch& batch, std::size_t workers_wanted) {
+  /// Runs `batch` with the caller as one of the workers and returns true,
+  /// or returns false at once, running nothing, when another caller's
+  /// batch is in flight.
+  bool try_run(Batch& batch, std::size_t workers_wanted) {
     support::UniqueLock lock(mutex_);
+    if (busy_) {
+      return false;
+    }
+    busy_ = true;
     ensure_workers(workers_wanted);
     current_ = &batch;
     ++generation_;
@@ -116,6 +125,8 @@ class Pool {
       return active_ == 0;
     });
     current_ = nullptr;
+    busy_ = false;
+    return true;
   }
 
   ~Pool() {
@@ -183,6 +194,7 @@ class Pool {
   Batch* current_ FLUXFP_GUARDED_BY(mutex_) = nullptr;
   std::uint64_t generation_ FLUXFP_GUARDED_BY(mutex_) = 0;
   std::size_t active_ FLUXFP_GUARDED_BY(mutex_) = 0;
+  bool busy_ FLUXFP_GUARDED_BY(mutex_) = false;  // a batch is in flight
   bool stop_ FLUXFP_GUARDED_BY(mutex_) = false;
 };
 
@@ -220,10 +232,13 @@ void parallel_for_ranges(
   // calls split between the inline-serial and pooled paths is not.
   FLUXFP_OBS_COUNTER_INC("fluxfp_numeric_parallel_calls_total",
                          "parallel_for regions entered");
-  if (threads <= 1 || count == 1 || t_in_parallel_region) {
+  const auto run_inline = [&] {
     FLUXFP_OBS_COUNTER_INC_SCHED("fluxfp_numeric_parallel_serial_calls_total",
                                  "Regions degraded to serial inline");
     fn(begin, end);
+  };
+  if (threads <= 1 || count == 1 || t_in_parallel_region) {
+    run_inline();
     return;
   }
   Batch batch;
@@ -235,13 +250,18 @@ void parallel_for_ranges(
   batch.chunk_count =
       (count + batch.chunk_size - 1) / batch.chunk_size;
   batch.fn = &fn;
+  // The caller is one of the workers. A caller that finds another
+  // caller's batch in flight runs its region inline instead, which the
+  // determinism contract makes bit-identical.
+  if (!Pool::instance().try_run(batch, threads - 1)) {
+    run_inline();
+    return;
+  }
   FLUXFP_OBS_COUNTER_INC_SCHED("fluxfp_numeric_parallel_pooled_calls_total",
                                "Regions fanned out over the pool");
   FLUXFP_OBS_COUNTER_ADD_SCHED("fluxfp_numeric_parallel_chunks_total",
                                "Chunks dispatched to pool workers",
                                batch.chunk_count);
-  // The caller is one of the workers.
-  Pool::instance().run(batch, threads - 1);
   if (std::exception_ptr err = batch.take_error()) {
     std::rethrow_exception(err);
   }

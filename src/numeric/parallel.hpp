@@ -29,7 +29,9 @@ void set_thread_count(std::size_t count);
 /// The first exception thrown by fn is captured and rethrown on the
 /// calling thread after the region drains (remaining chunks are skipped).
 /// Nested calls from inside a worker run serially inline, so helpers that
-/// parallelize internally stay safe to call from parallel regions.
+/// parallelize internally stay safe to call from parallel regions. The
+/// pool serves one external caller at a time: a call from another thread
+/// while a batch is in flight also runs serially inline.
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn);
 
@@ -44,9 +46,9 @@ void parallel_for_ranges(
 /// every parallel_for it issues degrades to serial inline execution instead
 /// of entering the shared pool (exactly as nested calls from pool workers
 /// do). Subsystems that own their own worker threads — the streaming
-/// TrackerManager — hold one per worker: the pool's run protocol admits a
-/// single external caller at a time, and such a worker's parallelism budget
-/// is already spent on cross-session sharding. Results are unaffected
+/// TrackerManager — hold one per worker: the pool admits a single external
+/// caller at a time (others run inline), and such a worker's parallelism
+/// budget is already spent on cross-session sharding. Results are unaffected
 /// (the determinism contract makes serial and pooled execution
 /// bit-identical); only scheduling changes. Nests safely.
 class SerialRegionGuard {

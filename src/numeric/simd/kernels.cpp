@@ -103,6 +103,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// composition (distance -> RectField::boundary_distance -> cap), so tail
 /// elements are bit-identical to full vector lanes AND to the scalar path.
 /// Returns false on a non-finite node coordinate.
+template <bool kInside>
 inline bool rect_shape_tail(double sx, double sy, double px, double py,
                             double width, double height, double d_min,
                             double l_degenerate, double qx, double qy,
@@ -112,13 +113,14 @@ inline bool rect_shape_tail(double sx, double sy, double px, double py,
   }
   const double ddx = sx - qx;
   const double ddy = sy - qy;
-  const double d = std::sqrt(ddx * ddx + ddy * ddy);
+  const double d2 = ddx * ddx + ddy * ddy;
+  const double d = std::sqrt(d2);
   const double rx = qx - px;
   const double ry = qy - py;
-  const double n2 = rx * rx + ry * ry;
+  const double n2 = kInside ? d2 : rx * rx + ry * ry;
   double l = l_degenerate;
   if (n2 > 0.0) {
-    const double nrm = std::sqrt(rx * rx + ry * ry);
+    const double nrm = kInside ? d : std::sqrt(n2);
     const double ux = rx / nrm;
     const double uy = ry / nrm;
     double t_exit = kInf;
@@ -141,6 +143,7 @@ inline bool rect_shape_tail(double sx, double sy, double px, double py,
 
 /// Scalar replica of the circular-field shape (distance ->
 /// CircleField::boundary_distance -> cap). `c_const` = |p-center|^2 - R^2.
+template <bool kInside>
 inline bool circle_shape_tail(double sx, double sy, double px, double py,
                               double ocx, double ocy, double c_const,
                               double d_min, double l_degenerate, double qx,
@@ -150,13 +153,14 @@ inline bool circle_shape_tail(double sx, double sy, double px, double py,
   }
   const double ddx = sx - qx;
   const double ddy = sy - qy;
-  const double d = std::sqrt(ddx * ddx + ddy * ddy);
+  const double d2 = ddx * ddx + ddy * ddy;
+  const double d = std::sqrt(d2);
   const double rx = qx - px;
   const double ry = qy - py;
-  const double n2 = rx * rx + ry * ry;
+  const double n2 = kInside ? d2 : rx * rx + ry * ry;
   double l = l_degenerate;
   if (n2 > 0.0) {
-    const double nrm = std::sqrt(rx * rx + ry * ry);
+    const double nrm = kInside ? d : std::sqrt(n2);
     const double ux = rx / nrm;
     const double uy = ry / nrm;
     const double b = ux * ocx + uy * ocy;
@@ -207,15 +211,15 @@ inline bool detect_tail(double sx, double sy, double inv_r2, double ax,
   return true;
 }
 
-}  // namespace
-
-bool rect_shape_row(double sx, double sy, double px, double py, double width,
-                    double height, double d_min, double l_degenerate,
-                    const double* qx, const double* qy, std::size_t n,
-                    double* out) {
-  if (!kVectorBackend) {
-    return false;  // strict-determinism mode: caller runs the legacy loop
-  }
+/// The rect row body. kInside: the sink is its own clamp (sx == px and
+/// sy == py), so q - p is -(s - q) exactly, the ray's squared norm is d^2
+/// and its norm is d, bit for bit; only a sink outside the field pays the
+/// second sqrt.
+template <bool kInside>
+bool rect_row(double sx, double sy, double px, double py, double width,
+              double height, double d_min, double l_degenerate,
+              const double* qx, const double* qy, std::size_t n,
+              double* out) {
   const DoubleVec vsx = broadcast(sx);
   const DoubleVec vsy = broadcast(sy);
   const DoubleVec vpx = broadcast(px);
@@ -244,11 +248,12 @@ bool rect_shape_row(double sx, double sy, double px, double py, double width,
     }
     const DoubleVec ddx = sub(vsx, x);
     const DoubleVec ddy = sub(vsy, y);
-    const DoubleVec d = sqrt(add(mul(ddx, ddx), mul(ddy, ddy)));
+    const DoubleVec d2 = add(mul(ddx, ddx), mul(ddy, ddy));
+    const DoubleVec d = sqrt(d2);
     const DoubleVec rx = sub(x, vpx);
     const DoubleVec ry = sub(y, vpy);
-    const DoubleVec n2 = add(mul(rx, rx), mul(ry, ry));
-    const DoubleVec nrm = sqrt(n2);
+    const DoubleVec n2 = kInside ? d2 : add(mul(rx, rx), mul(ry, ry));
+    const DoubleVec nrm = kInside ? d : sqrt(n2);
     const DoubleVec ux = div(rx, nrm);
     const DoubleVec uy = div(ry, nrm);
     // Slab exits: numerator (width-px) for ux > 0, -px for ux < 0; a zero
@@ -266,21 +271,20 @@ bool rect_shape_row(double sx, double sy, double px, double py, double width,
     store(out + i, div(l2md2, mul(vtwo, max(d, vdmin))));
   }
   for (; i < n; ++i) {
-    if (!rect_shape_tail(sx, sy, px, py, width, height, d_min, l_degenerate,
-                         qx[i], qy[i], out + i)) {
+    if (!rect_shape_tail<kInside>(sx, sy, px, py, width, height, d_min,
+                                  l_degenerate, qx[i], qy[i], out + i)) {
       return false;
     }
   }
   return true;
 }
 
-bool circle_shape_row(double sx, double sy, double px, double py, double cx,
-                      double cy, double radius, double d_min,
-                      double l_degenerate, const double* qx, const double* qy,
-                      std::size_t n, double* out) {
-  if (!kVectorBackend) {
-    return false;
-  }
+/// The circle row body; kInside as for rect_row.
+template <bool kInside>
+bool circle_row(double sx, double sy, double px, double py, double cx,
+                double cy, double radius, double d_min, double l_degenerate,
+                const double* qx, const double* qy, std::size_t n,
+                double* out) {
   // oc = clamped sink - center and c = |oc|^2 - R^2 are per-row scalars,
   // computed with the same expressions as CircleField::boundary_distance.
   const double ocx = px - cx;
@@ -307,11 +311,12 @@ bool circle_shape_row(double sx, double sy, double px, double py, double cx,
     }
     const DoubleVec ddx = sub(vsx, x);
     const DoubleVec ddy = sub(vsy, y);
-    const DoubleVec d = sqrt(add(mul(ddx, ddx), mul(ddy, ddy)));
+    const DoubleVec d2 = add(mul(ddx, ddx), mul(ddy, ddy));
+    const DoubleVec d = sqrt(d2);
     const DoubleVec rx = sub(x, vpx);
     const DoubleVec ry = sub(y, vpy);
-    const DoubleVec n2 = add(mul(rx, rx), mul(ry, ry));
-    const DoubleVec nrm = sqrt(n2);
+    const DoubleVec n2 = kInside ? d2 : add(mul(rx, rx), mul(ry, ry));
+    const DoubleVec nrm = kInside ? d : sqrt(n2);
     const DoubleVec ux = div(rx, nrm);
     const DoubleVec uy = div(ry, nrm);
     const DoubleVec b = add(mul(ux, vocx), mul(uy, vocy));
@@ -322,12 +327,42 @@ bool circle_shape_row(double sx, double sy, double px, double py, double cx,
     store(out + i, div(l2md2, mul(vtwo, max(d, vdmin))));
   }
   for (; i < n; ++i) {
-    if (!circle_shape_tail(sx, sy, px, py, ocx, ocy, c_const, d_min,
-                           l_degenerate, qx[i], qy[i], out + i)) {
+    if (!circle_shape_tail<kInside>(sx, sy, px, py, ocx, ocy, c_const, d_min,
+                                    l_degenerate, qx[i], qy[i], out + i)) {
       return false;
     }
   }
   return true;
+}
+
+}  // namespace
+
+bool rect_shape_row(double sx, double sy, double px, double py, double width,
+                    double height, double d_min, double l_degenerate,
+                    const double* qx, const double* qy, std::size_t n,
+                    double* out) {
+  if (!kVectorBackend) {
+    return false;  // strict-determinism mode: caller runs the legacy loop
+  }
+  return sx == px && sy == py
+             ? rect_row<true>(sx, sy, px, py, width, height, d_min,
+                              l_degenerate, qx, qy, n, out)
+             : rect_row<false>(sx, sy, px, py, width, height, d_min,
+                               l_degenerate, qx, qy, n, out);
+}
+
+bool circle_shape_row(double sx, double sy, double px, double py, double cx,
+                      double cy, double radius, double d_min,
+                      double l_degenerate, const double* qx, const double* qy,
+                      std::size_t n, double* out) {
+  if (!kVectorBackend) {
+    return false;
+  }
+  return sx == px && sy == py
+             ? circle_row<true>(sx, sy, px, py, cx, cy, radius, d_min,
+                                l_degenerate, qx, qy, n, out)
+             : circle_row<false>(sx, sy, px, py, cx, cy, radius, d_min,
+                                 l_degenerate, qx, qy, n, out);
 }
 
 bool rss_link_shape_row(double sx, double sy, double inv_lambda,
@@ -405,6 +440,199 @@ bool detect_shape_row(double sx, double sy, double inv_r2, const double* ax,
     }
   }
   return true;
+}
+
+// --- Subset-enumeration NNLS ----------------------------------------------
+
+namespace {
+
+static_assert(kLanes <= kMaxLanes, "lane packs are sized by kMaxLanes");
+
+/// Entry e of a lane-interleaved pack, or of one scalar problem repeated
+/// in every lane.
+template <bool kPacked>
+DoubleVec lanes_at(const double* p, std::size_t e) {
+  if constexpr (kPacked) {
+    return load(p + e * kLanes);
+  } else {
+    return broadcast(p[e]);
+  }
+}
+
+/// std::max(a, 0.0) per lane: a < 0 ? 0 : a, so -0.0 and NaN pass through.
+DoubleVec max_zero(DoubleVec a) { return blend(cmp_lt(a, zero()), zero(), a); }
+
+double first_lane(DoubleVec a) {
+  double lanes[kLanes];
+  store(lanes, a);
+  return lanes[0];
+}
+
+/// Cholesky solve G[idx] z = c[idx] on the M-column support idx, in every
+/// lane: the factorization, the forward and the back substitution
+/// operation for operation as the scalar factor_support and
+/// back_substitute of core/nls.cpp. Returns the feasible lanes: every
+/// pivot above 1e-14 and no z entry below zero. *sc receives
+/// sum_t z_t c_idx[t], folded from 0 in support order.
+template <std::size_t M, bool kPacked>
+LaneMask solve_support(const double* g, const double* c, std::size_t k,
+                       const std::size_t* idx, DoubleVec* z, DoubleVec* sc) {
+  DoubleVec l[M][M];
+  LaneMask ok{};
+  for (std::size_t j = 0; j < M; ++j) {
+    DoubleVec diag = lanes_at<kPacked>(g, idx[j] * k + idx[j]);
+    for (std::size_t t = 0; t < j; ++t) {
+      diag = sub(diag, mul(l[j][t], l[j][t]));
+    }
+    const LaneMask pivot = cmp_gt(diag, broadcast(1e-14));
+    ok = j == 0 ? pivot : mask_and(ok, pivot);
+    if (!any_lane(ok)) {
+      for (std::size_t t = 0; t < M; ++t) {
+        z[t] = zero();
+      }
+      *sc = zero();
+      return ok;
+    }
+    l[j][j] = sqrt(diag);
+    for (std::size_t i = j + 1; i < M; ++i) {
+      DoubleVec v = lanes_at<kPacked>(g, idx[i] * k + idx[j]);
+      for (std::size_t t = 0; t < j; ++t) {
+        v = sub(v, mul(l[i][t], l[j][t]));
+      }
+      l[i][j] = div(v, l[j][j]);
+    }
+  }
+  DoubleVec y[M];
+  for (std::size_t i = 0; i < M; ++i) {
+    DoubleVec v = lanes_at<kPacked>(c, idx[i]);
+    for (std::size_t t = 0; t < i; ++t) {
+      v = sub(v, mul(l[i][t], y[t]));
+    }
+    y[i] = div(v, l[i][i]);
+  }
+  for (std::size_t ii = M; ii-- > 0;) {
+    DoubleVec v = y[ii];
+    for (std::size_t t = ii + 1; t < M; ++t) {
+      v = sub(v, mul(l[t][ii], z[t]));
+    }
+    z[ii] = div(v, l[ii][ii]);
+  }
+  DoubleVec acc = zero();
+  for (std::size_t t = 0; t < M; ++t) {
+    ok = mask_andnot(ok, cmp_lt(z[t], zero()));
+    acc = add(acc, mul(z[t], lanes_at<kPacked>(c, idx[t])));
+  }
+  *sc = acc;
+  return ok;
+}
+
+/// solve_support on the slots of `mask` (non-empty), scattered into the
+/// k-slot stretch vector x (zero off the support).
+template <bool kPacked>
+LaneMask solve_mask(const double* g, const double* c, std::size_t k,
+                    std::uint32_t mask, DoubleVec* x, DoubleVec* sc) {
+  std::size_t idx[kSubsetMaxK];
+  std::size_t m = 0;
+  for (std::size_t j = 0; j < k; ++j) {
+    if (mask & (std::uint32_t{1} << j)) {
+      idx[m++] = j;
+    }
+  }
+  DoubleVec z[kSubsetMaxK];
+  LaneMask ok{};
+  switch (m) {
+    case 1: ok = solve_support<1, kPacked>(g, c, k, idx, z, sc); break;
+    case 2: ok = solve_support<2, kPacked>(g, c, k, idx, z, sc); break;
+    case 3: ok = solve_support<3, kPacked>(g, c, k, idx, z, sc); break;
+    case 4: ok = solve_support<4, kPacked>(g, c, k, idx, z, sc); break;
+    case 5: ok = solve_support<5, kPacked>(g, c, k, idx, z, sc); break;
+    default: ok = solve_support<6, kPacked>(g, c, k, idx, z, sc); break;
+  }
+  for (std::size_t j = 0; j < k; ++j) {
+    x[j] = zero();
+  }
+  for (std::size_t t = 0; t < m; ++t) {
+    x[idx[t]] = z[t];
+  }
+  return ok;
+}
+
+}  // namespace
+
+void build_subset_cache(const double* g, const double* c, std::size_t k,
+                        std::size_t vary, SubsetCache& cache) {
+  cache.vary_bit = std::uint32_t{1} << vary;
+  cache.feasible = 0;
+  const std::uint32_t full = (std::uint32_t{1} << k) - 1;
+  for (std::uint32_t mask = 1; mask < full; ++mask) {
+    if (mask & cache.vary_bit) {
+      continue;
+    }
+    DoubleVec x[kSubsetMaxK];
+    DoubleVec sc = zero();
+    // Every lane holds the same problem, so lane 0 speaks for all.
+    if (!any_lane(solve_mask<false>(g, c, k, mask, x, &sc))) {
+      continue;
+    }
+    cache.feasible |= std::uint64_t{1} << mask;
+    cache.sc[mask] = first_lane(sc);
+    for (std::size_t j = 0; j < k; ++j) {
+      cache.x[mask * kSubsetMaxK + j] = first_lane(x[j]);
+    }
+  }
+}
+
+void subset_nnls(const double* g, const double* c, std::size_t k, double b2,
+                 const SubsetCache* cache, double* residual, double* s) {
+  const std::uint32_t full = (std::uint32_t{1} << k) - 1;
+  const DoubleVec vb2 = broadcast(b2);
+  // Fast path: where the all-k solve is feasible it is the NNLS optimum.
+  DoubleVec fast_x[kSubsetMaxK];
+  DoubleVec sc = zero();
+  const LaneMask fast = solve_mask<true>(g, c, k, full, fast_x, &sc);
+  const DoubleVec fast_res = sqrt(max_zero(sub(vb2, sc)));
+  if (all_lanes(fast)) {
+    store(residual, fast_res);
+    for (std::size_t j = 0; j < k; ++j) {
+      store(s + j * kLanes, fast_x[j]);
+    }
+    return;
+  }
+  // Enumeration: the empty support scores b2 with s = 0; a support solved
+  // exactly scores b2 - s^T c, and a strictly lower score replaces the
+  // lane's best in ascending mask order.
+  DoubleVec best_r2 = vb2;
+  DoubleVec best[kSubsetMaxK];
+  for (std::size_t j = 0; j < k; ++j) {
+    best[j] = zero();
+  }
+  for (std::uint32_t mask = 1; mask < full; ++mask) {
+    DoubleVec x[kSubsetMaxK];
+    DoubleVec r2 = vb2;
+    LaneMask take{};
+    if (cache != nullptr && (mask & cache->vary_bit) == 0) {
+      if (((cache->feasible >> mask) & 1u) == 0) {
+        continue;
+      }
+      r2 = broadcast(b2 - cache->sc[mask]);
+      take = cmp_lt(r2, best_r2);
+      for (std::size_t j = 0; j < k; ++j) {
+        x[j] = broadcast(cache->x[mask * kSubsetMaxK + j]);
+      }
+    } else {
+      const LaneMask ok = solve_mask<true>(g, c, k, mask, x, &sc);
+      r2 = sub(vb2, sc);
+      take = mask_and(ok, cmp_lt(r2, best_r2));
+    }
+    best_r2 = blend(take, r2, best_r2);
+    for (std::size_t j = 0; j < k; ++j) {
+      best[j] = blend(take, x[j], best[j]);
+    }
+  }
+  store(residual, blend(fast, fast_res, sqrt(max_zero(best_r2))));
+  for (std::size_t j = 0; j < k; ++j) {
+    store(s + j * kLanes, blend(fast, fast_x[j], best[j]));
+  }
 }
 
 }  // namespace fluxfp::numeric::simd

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 // Vectorized inner-loop kernels behind a plain-function interface: the
 // rest of the tree calls these without ever seeing an intrinsic type, so
@@ -22,6 +23,10 @@
 //    multi-lane accumulators, which changes the summation ORDER (not the
 //    inputs) — those results are equivalence-tested under a tolerance,
 //    never assumed bit-equal across backends.
+//  * subset_nnls has no reduction across lanes: each lane runs the scalar
+//    enumeration's operations in order, so every backend, the scalar one
+//    included, returns the same bits. It has no scalar twin and never
+//    declines.
 //  * Non-finite inputs (NaN missing-reading sentinels, inf) are detected
 //    via lane masks and make the shape kernels return false; out[] may
 //    hold partial results for the lane groups already processed. The
@@ -88,5 +93,46 @@ bool rss_link_shape_row(double sx, double sy, double inv_lambda,
 /// as rect_shape_row.
 bool detect_shape_row(double sx, double sy, double inv_r2, const double* ax,
                       const double* ay, std::size_t n, double* out);
+
+/// Largest k the subset-enumeration NNLS takes: it solves up to 2^k - 1
+/// supports per problem.
+inline constexpr std::size_t kSubsetMaxK = 6;
+/// Largest lane_count() of any backend; sizes the callers' lane packs.
+inline constexpr std::size_t kMaxLanes = 4;
+
+/// The supports of a k <= kSubsetMaxK problem that leave out one slot (the
+/// conditional fit's candidate), solved once by build_subset_cache and
+/// then shared by every problem that differs from it only in that slot's
+/// row and column. Support `mask` is a k-bit set of slots.
+struct SubsetCache {
+  std::uint32_t vary_bit = 0;  ///< supports without this bit are cached
+  std::uint64_t feasible = 0;  ///< bit `mask`: support `mask` is feasible
+  double sc[std::size_t{1} << kSubsetMaxK];  ///< s^T c of a feasible support
+  /// Its k stretches (zero off the support), row `mask` of stride
+  /// kSubsetMaxK.
+  double x[(std::size_t{1} << kSubsetMaxK) * kSubsetMaxK];
+};
+
+/// Solves every support of the k x k problem (g row-major, c) that leaves
+/// out slot `vary`, with the arithmetic of subset_nnls, into `cache`.
+void build_subset_cache(const double* g, const double* c, std::size_t k,
+                        std::size_t vary, SubsetCache& cache);
+
+/// NNLS in Gram space (min ||A s - b|| over s >= 0 from G = A^T A,
+/// c = A^T b and b2 = ||b||^2) for lane_count() problems of size
+/// k <= kSubsetMaxK at once, by support enumeration. g and c are
+/// lane-interleaved: entry e of lane p's row-major G at g[e * lanes + p],
+/// of its c at c[e * lanes + p]. Per lane: if the all-k solve is SPD and
+/// has no negative entry it is the answer; otherwise every support in
+/// ascending mask order, keeping the first strict minimum of
+/// b2 - s^T c, with s = 0 and b2 when none is feasible. A support is
+/// feasible when each Cholesky pivot exceeds 1e-14 and no stretch is
+/// negative. Every lane runs exactly the operations of the scalar solve,
+/// so results are bit-identical to it on every backend (kLanes is 1 in
+/// the scalar one). With `cache`, the supports it holds are read from it
+/// instead of solved. Writes residual[p] = sqrt(max(r2, 0)) and the
+/// stretches at s[j * lanes + p]. Never declines.
+void subset_nnls(const double* g, const double* c, std::size_t k, double b2,
+                 const SubsetCache* cache, double* residual, double* s);
 
 }  // namespace fluxfp::numeric::simd

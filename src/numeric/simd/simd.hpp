@@ -94,6 +94,10 @@ inline LaneMask cmp_eq(DoubleVec a, DoubleVec b) {
 inline LaneMask mask_and(LaneMask a, LaneMask b) {
   return {_mm256_and_pd(a.m, b.m)};
 }
+/// a and not b.
+inline LaneMask mask_andnot(LaneMask a, LaneMask b) {
+  return {_mm256_andnot_pd(b.m, a.m)};
+}
 /// a where the mask lane is set, b elsewhere.
 inline DoubleVec blend(LaneMask mask, DoubleVec a, DoubleVec b) {
   return {_mm256_blendv_pd(b.v, a.v, mask.m)};
@@ -155,6 +159,9 @@ inline LaneMask cmp_eq(DoubleVec a, DoubleVec b) {
 inline LaneMask mask_and(LaneMask a, LaneMask b) {
   return {_mm_and_pd(a.m, b.m)};
 }
+inline LaneMask mask_andnot(LaneMask a, LaneMask b) {
+  return {_mm_andnot_pd(b.m, a.m)};
+}
 inline DoubleVec blend(LaneMask mask, DoubleVec a, DoubleVec b) {
   return {_mm_or_pd(_mm_and_pd(mask.m, a.v), _mm_andnot_pd(mask.m, b.v))};
 }
@@ -210,6 +217,9 @@ inline LaneMask cmp_eq(DoubleVec a, DoubleVec b) {
 inline LaneMask mask_and(LaneMask a, LaneMask b) {
   return {vandq_u64(a.m, b.m)};
 }
+inline LaneMask mask_andnot(LaneMask a, LaneMask b) {
+  return {vbicq_u64(a.m, b.m)};
+}
 inline DoubleVec blend(LaneMask mask, DoubleVec a, DoubleVec b) {
   return {vbslq_f64(mask.m, a.v, b.v)};
 }
@@ -258,6 +268,7 @@ inline LaneMask cmp_gt(DoubleVec a, DoubleVec b) { return {a.v > b.v}; }
 inline LaneMask cmp_lt(DoubleVec a, DoubleVec b) { return {a.v < b.v}; }
 inline LaneMask cmp_eq(DoubleVec a, DoubleVec b) { return {a.v == b.v}; }
 inline LaneMask mask_and(LaneMask a, LaneMask b) { return {a.m && b.m}; }
+inline LaneMask mask_andnot(LaneMask a, LaneMask b) { return {a.m && !b.m}; }
 inline DoubleVec blend(LaneMask mask, DoubleVec a, DoubleVec b) {
   return {mask.m ? a.v : b.v};
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "eval/metrics.hpp"
 #include "net/flux.hpp"
@@ -279,6 +281,42 @@ TEST(SmcTracker, FullyDeterministicGivenSeed) {
   const auto b = run();
   EXPECT_EQ(a.first, b.first);
   EXPECT_EQ(a.second, b.second);
+}
+
+TEST(SmcTracker, SingleUserSecondSweepChangesNothing) {
+  // With one user the conditional fit has no fixed columns, so the step
+  // runs one sweep whatever config.sweeps asks for. A tracker configured
+  // for one sweep and one configured for two must agree bit for bit.
+  const World w(34);
+  const auto bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  SmcConfig one = fast_config();
+  one.sweeps = 1;
+  SmcConfig two = fast_config();
+  two.sweeps = 2;
+  geom::Rng rng_one(35);
+  geom::Rng rng_two(35);
+  SmcTracker a(w.field, 1, one, rng_one);
+  SmcTracker b(w.field, 1, two, rng_two);
+  for (int round = 1; round <= 20; ++round) {
+    const geom::Vec2 truth{4.0 + 1.1 * round, 20.0 - 0.6 * round};
+    const SparseObjective obj = w.observe({truth}, {2.0});
+    const SmcStepResult ra = a.step(static_cast<double>(round), obj, rng_one);
+    const SmcStepResult rb = b.step(static_cast<double>(round), obj, rng_two);
+    EXPECT_TRUE(bits(ra.residual, rb.residual)) << "round " << round;
+    EXPECT_TRUE(bits(a.estimate(0).x, b.estimate(0).x)) << "round " << round;
+    EXPECT_TRUE(bits(a.estimate(0).y, b.estimate(0).y)) << "round " << round;
+    const std::vector<Particle> pa = a.particles(0);
+    const std::vector<Particle> pb = b.particles(0);
+    ASSERT_EQ(pa.size(), pb.size()) << "round " << round;
+    for (std::size_t i = 0; i < pa.size(); ++i) {
+      EXPECT_TRUE(bits(pa[i].position.x, pb[i].position.x) &&
+                  bits(pa[i].position.y, pb[i].position.y) &&
+                  bits(pa[i].weight, pb[i].weight))
+          << "round " << round << " particle " << i;
+    }
+  }
 }
 
 TEST(SmcTracker, CovarianceIsSymmetricPsd) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cmath>
 #include <stdexcept>
 #include <thread>
@@ -134,6 +136,37 @@ TEST(ParallelFor, NestedCallsDegradeToSerial) {
   for (std::size_t o = 0; o < outer; ++o) {
     EXPECT_DOUBLE_EQ(sums[o], expected);
   }
+}
+
+TEST(ParallelFor, ConcurrentExternalCallersNeverShareABatch) {
+  // Two threads outside the pool issue regions at once. The pool serves
+  // one of them at a time and the other runs its region inline, so every
+  // region still covers its range exactly once and nothing deadlocks.
+  ThreadCountGuard guard;
+  set_thread_count(4);
+  constexpr int kCalls = 5000;
+  constexpr std::size_t kCount = 64;
+  std::atomic<int> bad_regions{0};
+  const auto caller = [&] {
+    std::vector<int> hits(kCount);
+    for (int call = 0; call < kCalls; ++call) {
+      std::fill(hits.begin(), hits.end(), 0);
+      parallel_for(0, kCount, [&](std::size_t i) { ++hits[i]; });
+      if (std::count(hits.begin(), hits.end(), 1) !=
+          static_cast<std::ptrdiff_t>(kCount)) {
+        bad_regions.fetch_add(1);
+      }
+    }
+  };
+  // fluxfp-lint: allow(no-raw-thread) -- the callers under test must be
+  // threads outside the pool; a pool worker's call would run inline.
+  std::vector<std::thread> callers;
+  callers.emplace_back(caller);
+  callers.emplace_back(caller);
+  for (auto& t : callers) {
+    t.join();
+  }
+  EXPECT_EQ(bad_regions.load(), 0);
 }
 
 TEST(ParallelFor, OutputsBitIdenticalAcrossThreadCounts) {

@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <random>
 #include <vector>
@@ -170,6 +172,79 @@ TEST(SimdShapeRow, CircleMatchesScalarShapeBitForBit) {
   check_shape_row(model, {5.0, -3.0}, in.qx, in.qy);     // center
   check_shape_row(model, {16.0, -3.0}, in.qx, in.qy);    // near boundary
   check_shape_row(model, {40.0, 40.0}, in.qx, in.qy);    // outside: clamped
+}
+
+/// check_shape_row with a byte comparison, so a sign-of-zero slip shows.
+void check_shape_row_bits(const core::FluxModel& model, geom::Vec2 sink,
+                          const std::vector<double>& qx,
+                          const std::vector<double>& qy) {
+  for (std::size_t n = 1; n <= qx.size(); ++n) {
+    std::vector<double> out(n, -1.0);
+    if (!model.shape_row(sink, qx.data(), qy.data(), n, out.data())) {
+      EXPECT_FALSE(simd::enabled()) << "n=" << n;
+      continue;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const double expected = model.shape(sink, {qx[i], qy[i]});
+      EXPECT_EQ(std::memcmp(&out[i], &expected, sizeof(double)), 0)
+          << "n=" << n << " i=" << i << " q=(" << qx[i] << "," << qy[i]
+          << ") sink=(" << sink.x << "," << sink.y << "): " << out[i]
+          << " vs " << expected;
+    }
+  }
+}
+
+/// Random nodes plus nodes on the boundary and at signed zeros.
+ShapeRowInputs with_edge_nodes(ShapeRowInputs in,
+                               std::initializer_list<geom::Vec2> extra) {
+  for (const geom::Vec2 p : extra) {
+    in.qx.push_back(p.x);
+    in.qy.push_back(p.y);
+  }
+  return in;
+}
+
+TEST(SimdShapeRow, RectSinkOnEdgesZerosAndNodesMatchesBitForBit) {
+  // A sink inside the field (its own clamp) reuses d as the ray norm; one
+  // outside is clamped first and keeps the second sqrt. Both must match
+  // the scalar shape byte for byte.
+  const geom::RectField field(30.0, 20.0);
+  const core::FluxModel model(field, 1.2);
+  const auto in = with_edge_nodes(
+      random_nodes(field, 13, 21),
+      {{0.0, 0.0}, {-0.0, 5.0}, {30.0, 20.0}, {12.5, -0.0}, {30.0, 7.0}});
+  const std::vector<geom::Vec2> sinks = {
+      // on the boundary
+      {0.0, 7.5}, {30.0, 20.0}, {12.0, 0.0}, {30.0, 3.25}, {9.0, 20.0},
+      // at signed zeros
+      {-0.0, 5.0}, {-0.0, -0.0}, {0.0, -0.0}, {-0.0, 20.0},
+      // outside: clamped
+      {-4.0, 25.0}, {31.0, 10.0}, {15.0, -1e-300}, {-0.5, -0.0},
+      // on a node
+      {in.qx[0], in.qy[0]}, {in.qx[7], in.qy[7]}, {12.5, -0.0}};
+  for (const geom::Vec2 sink : sinks) {
+    check_shape_row_bits(model, sink, in.qx, in.qy);
+  }
+}
+
+TEST(SimdShapeRow, CircleSinkOnEdgesZerosAndNodesMatchesBitForBit) {
+  const geom::CircleField field({0.0, 0.0}, 10.0);
+  const core::FluxModel model(field, 0.8);
+  const auto in = with_edge_nodes(
+      random_nodes(field, 13, 22),
+      {{0.0, 0.0}, {-0.0, 0.0}, {10.0, 0.0}, {0.0, -10.0}, {-0.0, 4.0}});
+  const std::vector<geom::Vec2> sinks = {
+      // on the boundary
+      {10.0, 0.0}, {0.0, -10.0}, {-6.0, 8.0},
+      // at signed zeros
+      {-0.0, 0.0}, {0.0, -0.0}, {-0.0, -0.0}, {-0.0, 4.0},
+      // outside: clamped
+      {20.0, -0.0}, {-8.0, 8.0}, {1e3, 1e3},
+      // on a node
+      {in.qx[0], in.qy[0]}, {in.qx[5], in.qy[5]}, {-0.0, 4.0}};
+  for (const geom::Vec2 sink : sinks) {
+    check_shape_row_bits(model, sink, in.qx, in.qy);
+  }
 }
 
 TEST(SimdShapeRow, DistanceZeroHitsTheDminCap) {
