@@ -144,9 +144,9 @@ LocalizationResult InstantLocalizer::search(
                         [&](std::size_t restart) {
     const RestartPlan& plan = plans[restart];
     RestartOutcome& outcome = outcomes[restart];
-    // Per-worker scratch arena, reset at each restart: the columns and
-    // batch-score buffers below live for one restart and then vanish
-    // without ever hitting the heap.
+    // Per-worker scratch, reset or fully rewritten at each restart so
+    // nothing carries between restarts. It never returns to the heap: a
+    // worker localizing trial after trial churns no megabyte blocks.
     thread_local numeric::Arena arena;
     arena.reset();
     const std::size_t n = objective.sample_count();
@@ -160,7 +160,7 @@ LocalizationResult InstantLocalizer::search(
     }
 
     outcome.last_scores.resize(num_users);
-    ColumnBlock block;
+    thread_local ColumnBlock block;
     const std::span<double> residuals = arena.alloc<double>(per_sweep);
     const std::span<double> stretches = arena.alloc<double>(per_sweep);
 

@@ -325,22 +325,8 @@ void SparseObjective::residuals_at(std::span<const geom::Vec2> sinks,
 
 SparseObjective SparseObjective::reweighted(
     std::span<const double> weights) const {
-  if (weights.size() != sample_positions_.size()) {
-    throw std::invalid_argument("reweighted: weight count mismatch");
-  }
   SparseObjective out(*this);
-  if (out.row_scale_.empty()) {
-    out.row_scale_.assign(weights.size(), 1.0);
-  }
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    if (!(weights[i] >= 0.0)) {
-      throw std::invalid_argument("reweighted: negative weight");
-    }
-    const double s = std::sqrt(weights[i]);
-    out.row_scale_[i] *= s;
-    out.measured_[i] = measured_[i] * s;
-  }
-  out.measured_norm_ = numeric::norm(out.measured_);
+  reweighted_into(weights, out);
   return out;
 }
 

@@ -224,8 +224,8 @@ class SparseObjective {
 
   /// In-place variant for the per-epoch IRLS loop: overwrites `out` with
   /// the weighted copy, reusing its vector capacity so steady-state rounds
-  /// allocate nothing. `out` is typically optional<SparseObjective>
-  /// storage seeded once via reweighted().
+  /// allocate nothing. `out` may be any objective; SmcTracker keeps one in
+  /// the stepping thread's scratch.
   void reweighted_into(std::span<const double> weights,
                        SparseObjective& out) const;
 

@@ -4,11 +4,30 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 
 #include "obs/instrument.hpp"
 
 namespace fluxfp::core {
+
+struct StepScratch {
+  numeric::Arena arena;  ///< reset on entry to every step
+  std::array<ColumnBlock, kMaxGramUsers> cand_cols;  ///< per user: N columns
+  std::array<std::vector<double>, kMaxGramUsers> rep_cols;  ///< per user
+  std::optional<SparseObjective> robust;  ///< reweighted objective
+  std::vector<double> robust_r;
+  std::vector<double> robust_w;
+  ColumnBlock grid_cols;  ///< recovery grid candidates
+};
+
+/// One scratch per stepping thread, like the localizers' arenas: a manager
+/// worker or pool thread reuses it across all the trackers it steps.
+static thread_local StepScratch thread_scratch;
+
+numeric::Arena::Stats step_scratch_arena_stats() {
+  return thread_scratch.arena.stats();
+}
 
 SmcTracker::SmcTracker(const geom::Field& field, std::size_t num_users,
                        SmcConfig config, geom::Rng& rng)
@@ -31,25 +50,26 @@ SmcTracker::SmcTracker(const geom::Field& field, std::size_t num_users,
         "SmcTracker: num_keep (M) must not exceed num_predictions (N) — "
         "filtering cannot keep more samples than were predicted");
   }
-  if (config_.sweeps <= 0 || !(config_.vmax > 0.0)) {
+  // Negated comparisons throughout, so a NaN fails every range check.
+  if (config_.sweeps <= 0 || !(config_.vmax > 0.0) ||
+      std::isnan(config_.inactive_improvement_tol) ||
+      std::isnan(config_.empty_measurement_tol)) {
     throw std::invalid_argument("SmcTracker: bad config");
   }
-  if (config_.heading_mix < 0.0 || config_.heading_mix > 1.0 ||
-      config_.heading_half_angle <= 0.0) {
+  if (!(config_.heading_mix >= 0.0 && config_.heading_mix <= 1.0) ||
+      !(config_.heading_half_angle > 0.0)) {
     throw std::invalid_argument("SmcTracker: bad heading config");
   }
   if (config_.divergence_recovery &&
-      (config_.divergence_fraction <= 0.0 ||
-       config_.divergence_fraction > 1.0 || config_.divergence_rounds <= 0 ||
-       config_.recovery_grid == 0)) {
+      (!(config_.divergence_fraction > 0.0 &&
+         config_.divergence_fraction <= 1.0) ||
+       config_.divergence_rounds <= 0 || config_.recovery_grid == 0)) {
     throw std::invalid_argument("SmcTracker: bad divergence config");
   }
   particles_.resize(num_users);
   t_last_.assign(num_users, 0.0);
   prev_estimate_.assign(num_users, geom::Vec2{});
   heading_.assign(num_users, geom::Vec2{});
-  rep_cols_.resize(num_users);
-  cand_cols_.resize(num_users);
   const double w0 = 1.0 / static_cast<double>(config_.num_keep);
   for (ParticleSet& set : particles_) {
     set.x.reserve(config_.num_keep);
@@ -185,14 +205,10 @@ void SmcTracker::predict(std::size_t user, double radius, geom::Rng& rng,
 }
 
 SmcStepResult SmcTracker::step(double time,
-                               const SparseObjective& objective,
-                               geom::Rng& rng) {
-  return step(time, objective, rng, arena_);
-}
-
-SmcStepResult SmcTracker::step(double time,
                                const SparseObjective& raw_objective,
-                               geom::Rng& rng, numeric::Arena& arena) {
+                               geom::Rng& rng) {
+  StepScratch& scratch = thread_scratch;
+  numeric::Arena& arena = scratch.arena;
   arena.reset();
   const std::size_t k = num_users();
   SmcStepResult result;
@@ -226,14 +242,14 @@ SmcStepResult SmcTracker::step(double time,
       current[j] = estimate(j);
     }
     const StretchFit incumbent = raw_objective.fit(current);
-    raw_objective.residuals_at(current, incumbent.stretches, robust_r_);
-    robust_weights(robust_r_, config_.robust, robust_w_);
-    if (!robust_storage_) {
-      robust_storage_.emplace(raw_objective.reweighted(robust_w_));
-    } else {
-      raw_objective.reweighted_into(robust_w_, *robust_storage_);
+    raw_objective.residuals_at(current, incumbent.stretches,
+                               scratch.robust_r);
+    robust_weights(scratch.robust_r, config_.robust, scratch.robust_w);
+    if (!scratch.robust) {
+      scratch.robust.emplace(raw_objective);
     }
-    obj_ptr = &*robust_storage_;
+    raw_objective.reweighted_into(scratch.robust_w, *scratch.robust);
+    obj_ptr = &*scratch.robust;
   }
   const SparseObjective& objective = *obj_ptr;
 
@@ -257,7 +273,7 @@ SmcStepResult SmcTracker::step(double time,
   const std::span<geom::Vec2> reps = arena.alloc<geom::Vec2>(k);
   for (std::size_t j = 0; j < k; ++j) {
     reps[j] = estimate(j);
-    objective.shape_column(reps[j], rep_cols_[j]);
+    objective.shape_column(reps[j], scratch.rep_cols[j]);
   }
 
   // Per-user scores of the *last* sweep; index into predictions(j).
@@ -291,7 +307,7 @@ SmcStepResult SmcTracker::step(double time,
       for (std::size_t c = 0; c < n_pred; ++c) {
         cand_pos[c] = predictions(j)[c].position;
       }
-      objective.shape_columns(cand_pos, cand_cols_[j]);
+      objective.shape_columns(cand_pos, scratch.cand_cols[j]);
     }
   }
   // A lone user's conditional fit has no fixed columns, so its scores do
@@ -319,7 +335,7 @@ SmcStepResult SmcTracker::step(double time,
       std::size_t nf = 0;
       for (std::size_t s = 0; s < support_count; ++s) {
         if (support[s] != j) {
-          fixed[nf++] = rep_cols_[support[s]];
+          fixed[nf++] = scratch.rep_cols[support[s]];
         }
       }
       // Candidate column sits in the last slot of the pruned fit.
@@ -327,7 +343,7 @@ SmcStepResult SmcTracker::step(double time,
           objective, std::span<const std::span<const double>>(fixed.data(), nf),
           nf);
       const std::span<double> residuals = last_residuals(j);
-      cond.evaluate_batch(cand_cols_[j], residuals);
+      cond.evaluate_batch(scratch.cand_cols[j], residuals);
       // Serial argmin in index order: ties break to the lowest candidate
       // index exactly as the serial loop did.
       double best_res = std::numeric_limits<double>::infinity();
@@ -339,8 +355,9 @@ SmcStepResult SmcTracker::step(double time,
         }
       }
       reps[j] = predictions(j)[best_idx].position;
-      const std::span<const double> best_col = cand_cols_[j].column(best_idx);
-      rep_cols_[j].assign(best_col.begin(), best_col.end());
+      const std::span<const double> best_col =
+          scratch.cand_cols[j].column(best_idx);
+      scratch.rep_cols[j].assign(best_col.begin(), best_col.end());
     }
   }
 
@@ -362,7 +379,7 @@ SmcStepResult SmcTracker::step(double time,
       std::size_t nw = 0;
       for (std::size_t o = 0; o < k; ++o) {
         if (o != j && joint.stretches[o] > 0.0) {
-          without[nw++] = rep_cols_[o];
+          without[nw++] = scratch.rep_cols[o];
         }
       }
       const double residual_without =
@@ -477,7 +494,7 @@ SmcStepResult SmcTracker::step(double time,
     if (bad_rounds_ >= config_.divergence_rounds) {
       FLUXFP_OBS_COUNTER_INC("fluxfp_core_smc_recoveries_total",
                              "Grid-scan re-acquisitions of a lost track");
-      reseed_from_grid(time, objective, reps, arena);
+      reseed_from_grid(time, objective, reps, scratch);
       const StretchFit refit = objective.fit(reps);
       result.stretches = refit.stretches;
       result.residual = refit.residual;
@@ -493,7 +510,8 @@ SmcStepResult SmcTracker::step(double time,
 void SmcTracker::reseed_from_grid(double time,
                                   const SparseObjective& objective,
                                   std::span<geom::Vec2> reps,
-                                  numeric::Arena& arena) {
+                                  StepScratch& scratch) {
+  numeric::Arena& arena = scratch.arena;
   const std::size_t g = config_.recovery_grid;
   const std::span<geom::Vec2> grid = arena.alloc<geom::Vec2>(g * g);
   for (std::size_t iy = 0; iy < g; ++iy) {
@@ -503,7 +521,7 @@ void SmcTracker::reseed_from_grid(double time,
           (static_cast<double>(iy) + 0.5) / static_cast<double>(g));
     }
   }
-  ColumnBlock grid_cols;
+  ColumnBlock& grid_cols = scratch.grid_cols;
   objective.shape_columns(grid, grid_cols);
   const std::size_t k = num_users();
   const std::span<double> scores = arena.alloc<double>(grid.size());
@@ -513,7 +531,7 @@ void SmcTracker::reseed_from_grid(double time,
     std::size_t nf = 0;
     for (std::size_t o = 0; o < k; ++o) {
       if (o != j) {
-        fixed[nf++] = rep_cols_[o];
+        fixed[nf++] = scratch.rep_cols[o];
       }
     }
     const ConditionalFit cond(
@@ -537,7 +555,7 @@ void SmcTracker::reseed_from_grid(double time,
     }
     reps[j] = grid[order[0]];
     const std::span<const double> best_col = grid_cols.column(order[0]);
-    rep_cols_[j].assign(best_col.begin(), best_col.end());
+    scratch.rep_cols[j].assign(best_col.begin(), best_col.end());
     t_last_[j] = time;
     heading_[j] = geom::Vec2{};
     prev_estimate_[j] = estimate(j);

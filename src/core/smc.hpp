@@ -1,7 +1,6 @@
 #pragma once
 
 #include <array>
-#include <optional>
 #include <vector>
 
 #include "core/nls.hpp"
@@ -66,6 +65,17 @@ struct SmcConfig {
   std::size_t recovery_grid = 16;
 };
 
+/// Per-step scratch of SmcTracker::step(), defined in smc.cpp: the arena,
+/// the candidate and representative columns, the robust objective and the
+/// recovery grid's columns. One lives per thread that steps (a
+/// thread_local), shared by every tracker that thread steps.
+struct StepScratch;
+
+/// Arena statistics of the calling thread's StepScratch. used_bytes is
+/// what the thread's last step drew (the arena is reset on entry), and
+/// block_bytes what it keeps resident between steps.
+numeric::Arena::Stats step_scratch_arena_stats();
+
 /// Per-round output of the tracker.
 struct SmcStepResult {
   std::vector<bool> updated;       ///< per user: did this round move its samples
@@ -105,6 +115,10 @@ struct SmcState {
 ///    objective value, cumulated over rounds (Eq. 4.3);
 ///  * asynchronous updating — users whose best-fit s/r ≈ 0 are left
 ///    untouched and their Δt keeps growing until their next collection.
+///
+/// A tracker holds filter state only, O(users × num_keep): the round's N
+/// predictions per user and their columns live in the stepping thread's
+/// StepScratch, so per-session memory does not grow with num_predictions.
 class SmcTracker {
  public:
   /// Initializes each user's sample set with `config.num_keep` uniform
@@ -116,16 +130,14 @@ class SmcTracker {
 
   /// Processes the observation window ending at `time` (must increase
   /// across calls). `objective` wraps this window's sniffed flux.
+  ///
+  /// Every per-step buffer comes from the calling thread's StepScratch.
+  /// It keeps no meaning between steps: each step rewrites every buffer
+  /// before reading it, so results do not depend on what the thread
+  /// stepped before. Not reentrant on one thread (nothing step() calls
+  /// steps a tracker); one tracker steps from one thread at a time.
   SmcStepResult step(double time, const SparseObjective& objective,
                      geom::Rng& rng);
-
-  /// As above, drawing all per-step scratch (prediction sets, candidate
-  /// residuals, orderings) from `arena`, which is reset on entry — the
-  /// streaming runtime threads one epoch arena through every step so the
-  /// hot path stops allocating. Arena choice never affects results: the
-  /// scratch holds the same values wherever it lives.
-  SmcStepResult step(double time, const SparseObjective& objective,
-                     geom::Rng& rng, numeric::Arena& arena);
 
   std::size_t num_users() const { return particles_.size(); }
   const SmcConfig& config() const { return config_; }
@@ -184,17 +196,6 @@ class SmcTracker {
   std::vector<geom::Vec2> heading_;        // unit heading, zero if unknown
   int bad_rounds_ = 0;
 
-  /// Default scratch arena for the 3-argument step() overload.
-  numeric::Arena arena_;
-  /// Round-persistent scratch reused across steps (capacity high-water):
-  /// the robust-reweighting buffers and the per-user representative /
-  /// candidate columns.
-  std::optional<SparseObjective> robust_storage_;
-  std::vector<double> robust_r_;
-  std::vector<double> robust_w_;
-  std::vector<std::vector<double>> rep_cols_;
-  std::vector<ColumnBlock> cand_cols_;
-
   struct Prediction {
     geom::Vec2 position;
     std::size_t origin;  // index of the particle it was drawn from
@@ -206,10 +207,10 @@ class SmcTracker {
                std::span<Prediction> out) const;
 
   /// Coarse-grid re-seed of every user's particle set against `objective`
-  /// (divergence recovery). Updates reps/rep_cols_ in place. Grid scoring
-  /// runs through the parallel batch evaluator; no RNG involved.
+  /// (divergence recovery). Updates reps and scratch.rep_cols in place.
+  /// Grid scoring runs through the parallel batch evaluator; no RNG.
   void reseed_from_grid(double time, const SparseObjective& objective,
-                        std::span<geom::Vec2> reps, numeric::Arena& arena);
+                        std::span<geom::Vec2> reps, StepScratch& scratch);
 };
 
 }  // namespace fluxfp::core

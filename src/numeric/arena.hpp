@@ -18,8 +18,9 @@ namespace fluxfp::numeric {
 ///  * reset() is O(1) when the high-water mark fits in the head block;
 ///    otherwise the next alloc() grows a new head block so steady-state
 ///    epochs allocate nothing.
-///  * The arena is NOT thread-safe; each worker uses its own (the
-///    localizers keep one per restart thread via thread_local).
+///  * The arena is NOT thread-safe; each thread uses its own, as a
+///    thread_local: SmcTracker::step() keeps one in the stepping thread's
+///    core::StepScratch, and the localizers keep one per restart thread.
 ///
 /// All returns are 64-byte aligned so SIMD kernels can assume cache-line
 /// alignment, and value-initialized variants exist for buffers whose
@@ -27,13 +28,10 @@ namespace fluxfp::numeric {
 class Arena {
  public:
   explicit Arena(std::size_t initial_bytes = 1 << 16);
+  // Pinned: an arena stays with the scope that owns it (a thread_local
+  // per stepping thread), so it is neither copied nor moved.
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
-  // Movable so owners (SmcTracker, StreamTracker) stay movable; moved-from
-  // arenas are only good for destruction. Outstanding spans stay valid —
-  // the blocks travel with the arena.
-  Arena(Arena&&) noexcept = default;
-  Arena& operator=(Arena&&) noexcept = default;
 
   /// Uninitialized storage for `count` trivially-destructible T.
   template <typename T>

@@ -183,7 +183,7 @@ EpochResult StreamTracker::fire_oldest() {
                                           std::vector<bool>());
     result.readings = objective.sample_count();
     rng_text_.clear();  // before the step: a throwing step may move rng_
-    result.step = smc_.step(result.time, objective, rng_, epoch_arena_);
+    result.step = smc_.step(result.time, objective, rng_);
     const auto t1 = std::chrono::steady_clock::now();
     result.filter_micros =
         std::chrono::duration<double, std::micro>(t1 - t0).count();

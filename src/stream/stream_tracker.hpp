@@ -205,11 +205,6 @@ class StreamTracker {
   /// session (quiesced or not started), ordered by the manager's mutexes.
   mutable std::string rng_text_;
   core::SmcTracker smc_;
-  /// Epoch-scoped scratch threaded through every SMC step: reset at the
-  /// start of each fired window, so steady-state epochs run allocation-free
-  /// once the arena has seen its largest step. Never checkpointed — scratch
-  /// holds no state across steps.
-  numeric::Arena epoch_arena_;
 
   std::map<std::uint32_t, Window> open_;  ///< epoch -> window, ordered
   double now_ = 0.0;          ///< newest event time seen (virtual clock)

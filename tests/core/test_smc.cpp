@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "eval/metrics.hpp"
@@ -53,6 +54,19 @@ TEST(SmcTracker, RejectsBadConstruction) {
   EXPECT_THROW(SmcTracker(f, 1, bad, rng), std::invalid_argument);
   bad = fast_config();
   bad.vmax = 0.0;
+  EXPECT_THROW(SmcTracker(f, 1, bad, rng), std::invalid_argument);
+  // A NaN fails every range check: a NaN tolerance would otherwise mark
+  // every user inactive forever, or every window empty.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  bad = fast_config();
+  bad.inactive_improvement_tol = nan;
+  EXPECT_THROW(SmcTracker(f, 1, bad, rng), std::invalid_argument);
+  bad = fast_config();
+  bad.empty_measurement_tol = nan;
+  EXPECT_THROW(SmcTracker(f, 1, bad, rng), std::invalid_argument);
+  bad = fast_config();
+  bad.divergence_recovery = true;
+  bad.divergence_fraction = nan;
   EXPECT_THROW(SmcTracker(f, 1, bad, rng), std::invalid_argument);
 }
 
@@ -235,6 +249,13 @@ TEST(SmcTracker, HeadingConfigValidation) {
   EXPECT_THROW(SmcTracker(f, 1, bad, rng), std::invalid_argument);
   bad = fast_config();
   bad.heading_half_angle = 0.0;
+  EXPECT_THROW(SmcTracker(f, 1, bad, rng), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  bad = fast_config();
+  bad.heading_mix = nan;
+  EXPECT_THROW(SmcTracker(f, 1, bad, rng), std::invalid_argument);
+  bad = fast_config();
+  bad.heading_half_angle = nan;
   EXPECT_THROW(SmcTracker(f, 1, bad, rng), std::invalid_argument);
 }
 

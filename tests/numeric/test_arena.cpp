@@ -105,18 +105,5 @@ TEST(Arena, ZeroCountAllocIsLegal) {
   EXPECT_EQ(s.size(), 0u);
 }
 
-TEST(Arena, MoveTransfersBlocks) {
-  Arena a(1 << 12);
-  const auto s = a.alloc<double>(4);
-  s[0] = 42.0;
-  Arena b = std::move(a);
-  // Spans handed out before the move stay valid: the block moved, not the
-  // storage.
-  EXPECT_EQ(s[0], 42.0);
-  const auto t = b.alloc<double>(4);
-  t[0] = 7.0;
-  EXPECT_EQ(s[0], 42.0);
-}
-
 }  // namespace
 }  // namespace fluxfp::numeric
