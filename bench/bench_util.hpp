@@ -6,9 +6,8 @@
 // are) is what reproduces the paper. All binaries are deterministic for a
 // fixed --seed.
 
+#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -18,6 +17,7 @@
 #include "eval/experiment.hpp"
 #include "geom/field.hpp"
 #include "numeric/parallel.hpp"
+#include "support/cli.hpp"
 
 namespace fluxfp::bench {
 
@@ -30,20 +30,30 @@ struct Options {
   std::string csv_dir;
 };
 
+/// Parses the shared flags; anything else, or a malformed value, is a
+/// usage error (exit 2) before any work starts.
 inline Options parse_options(int argc, char** argv) {
+  std::string program = argc > 0 ? argv[0] : "exp";
+  program.erase(0, program.find_last_of('/') + 1);
+  const std::string usage = "usage: " + program +
+                            " [--quick] [--seed N] [--csv DIR] "
+                            "[--threads N]\n";
+  cli::Args args(argc, argv, 1, program, usage);
   Options opts;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
+  while (args.next()) {
+    if (args.is("--quick")) {
       opts.quick = true;
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      opts.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
-      opts.csv_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
+    } else if (args.is("--seed")) {
+      opts.seed = args.integer<std::uint64_t>();
+    } else if (args.is("--csv")) {
+      opts.csv_dir = args.value();
+    } else if (args.is("--threads")) {
       // Worker count for the candidate-evaluation engine (0 = hardware
       // concurrency, 1 = serial). Results are bit-identical either way;
       // this knob trades wall-clock only.
-      numeric::set_thread_count(std::strtoull(argv[++i], nullptr, 10));
+      numeric::set_thread_count(args.integer<std::size_t>());
+    } else {
+      args.unknown_flag();
     }
   }
   return opts;

@@ -1,32 +1,29 @@
-// Streaming tracking service CLI — four subcommands over one seeded
+// Streaming tracking service CLI — three subcommands over one seeded
 // deployment:
 //
-//   local      the self-contained demo: simulate sessions, record the
-//              event stream to a FLUXFPT1 trace, replay it into a
-//              supervised TrackerManager in-process (crash recovery via
-//              --checkpoint/--restore, see README "Surviving crashes");
-//   serve      run the FXN1 network service: the same deployment behind
-//              a TCP/Unix socket, multi-tenant admission, supervised
-//              crash recovery under live connections;
-//   replay-to  stream a recorded trace to a running server at Nx speed
-//              over one connection (netio::Client);
-//   query      ask a running server for a quiesced estimate, service
-//              metrics, or the newest checkpoint image.
+//   local   the self-contained demo: simulate sessions, record the event
+//           stream to a FLUXFPT1 trace, replay it into a supervised
+//           TrackerManager in-process (crash recovery via
+//           --checkpoint/--restore, see README "Surviving crashes");
+//   serve   run the FXN1 network service: the same deployment behind a
+//           TCP/Unix socket, multi-tenant admission, supervised crash
+//           recovery under live connections;
+//   query   ask a running server for a quiesced estimate, service
+//           metrics, or the newest checkpoint image.
+//
+// Streaming a recorded trace to a running server is fluxfp_loadgen's job
+// (tools/fluxfp_loadgen), the one network replay client.
 //
 // Invoked with flags only (no subcommand), `local` is assumed — the
 // pre-subcommand invocations in older docs keep working.
 //
-// Every parse failure — unknown subcommand, unknown flag, missing or
-// non-numeric value — goes through one usage_error() path: message to
-// stderr, brief usage, exit 2. `--help` prints the full help to stdout
-// and exits 0.
+// Every parse failure — unknown subcommand, unknown flag, missing,
+// non-numeric or out-of-range value — exits 2 through support/cli.hpp's
+// one usage-error path. `--help` prints the full help to stdout and
+// exits 0.
 
-#include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -50,6 +47,7 @@
 #include "stream/manager.hpp"
 #include "stream/supervisor.hpp"
 #include "stream/trace_io.hpp"
+#include "support/cli.hpp"
 
 #if defined(FLUXFP_OBS_ENABLED)
 #include "obs/obs.hpp"
@@ -59,19 +57,12 @@ namespace {
 
 using namespace fluxfp;
 
-volatile std::sig_atomic_t g_stop = 0;
-
-void handle_signal(int) { g_stop = 1; }
-
 constexpr const char* kUsageBrief =
-    "usage: stream_daemon [local|serve|replay-to ADDR|query ADDR] "
-    "[flags]\n"
+    "usage: stream_daemon [local|serve|query ADDR] [flags]\n"
     "       stream_daemon --help\n";
 
-[[noreturn]] void usage_error(const std::string& message) {
-  std::fprintf(stderr, "stream_daemon: %s\n%s", message.c_str(),
-               kUsageBrief);
-  std::exit(2);
+cli::Args make_args(int argc, char** argv, int first) {
+  return {argc, argv, first, "stream_daemon", kUsageBrief};
 }
 
 void print_help() {
@@ -81,10 +72,10 @@ void print_help() {
       "  stream_daemon local [flags]       in-process demo "
       "(default subcommand)\n"
       "  stream_daemon serve [flags]       run the FXN1 network service\n"
-      "  stream_daemon replay-to ADDR      stream a trace to a server\n"
       "  stream_daemon query ADDR          query a running server\n"
       "\n"
-      "ADDR is unix:/path/to.sock or tcp:HOST:PORT.\n"
+      "ADDR is unix:/path/to.sock or tcp:HOST:PORT. To stream a recorded\n"
+      "trace to a server, use fluxfp_loadgen.\n"
       "\n"
       "shared deployment flags (local, serve):\n"
       "  --sessions N          tracking sessions (default 4)\n"
@@ -126,14 +117,6 @@ void print_help() {
       "  --latency-sample N    sample every Nth accepted event "
       "(default 16)\n"
       "\n"
-      "replay-to ADDR:\n"
-      "  --trace PATH          trace to stream (default "
-      "stream_daemon.trace)\n"
-      "  --tenant T --token K  authenticate as tenant T (default 0, "
-      "open)\n"
-      "  --speed S             pacing as in local (default 0 = max)\n"
-      "  --batch B             events per EVENT_BATCH frame (default 64)\n"
-      "\n"
       "query ADDR:\n"
       "  --tenant T --token K  authenticate as tenant T\n"
       "  --user U              print the quiesced estimate of session U\n"
@@ -142,49 +125,6 @@ void print_help() {
       "\n"
       "exit status: 0 ok, 1 runtime failure, 2 usage error.");
 }
-
-std::uint64_t parse_u64(const char* flag, const std::string& text) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE) {
-    usage_error(std::string(flag) + " needs a non-negative integer, got '" +
-                text + "'");
-  }
-  return v;
-}
-
-double parse_f64(const char* flag, const std::string& text) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') {
-    usage_error(std::string(flag) + " needs a number, got '" + text + "'");
-  }
-  return v;
-}
-
-netio::Endpoint parse_endpoint(const std::string& spec) {
-  std::string why;
-  const auto ep = netio::Endpoint::parse(spec, &why);
-  if (!ep) {
-    usage_error(why);
-  }
-  return *ep;
-}
-
-/// Pulls flag values off argv; missing values go through usage_error.
-struct ArgCursor {
-  int argc;
-  char** argv;
-  int i;
-
-  std::string value(const char* flag) {
-    if (i + 1 >= argc) {
-      usage_error(std::string(flag) + " needs a value");
-    }
-    return argv[++i];
-  }
-};
 
 /// The shared seeded deployment: one sensor field, one calibrated flux
 /// model, one sniffer set. Everything derives from the seed — `serve` on
@@ -258,44 +198,42 @@ int run_local(int argc, char** argv, int first) {
   std::size_t checkpoint_every = 256;
   bool faulty = false;
   bool metrics = false;
-  ArgCursor args{argc, argv, first};
-  for (; args.i < argc; ++args.i) {
-    const char* a = argv[args.i];
-    if (!std::strcmp(a, "--sessions")) {
-      sessions = parse_u64(a, args.value(a));
-    } else if (!std::strcmp(a, "--rounds")) {
-      rounds = static_cast<int>(parse_u64(a, args.value(a)));
-    } else if (!std::strcmp(a, "--workers")) {
-      workers = parse_u64(a, args.value(a));
-    } else if (!std::strcmp(a, "--speed")) {
-      speed = parse_f64(a, args.value(a));
-    } else if (!std::strcmp(a, "--seed")) {
-      seed = parse_u64(a, args.value(a));
-    } else if (!std::strcmp(a, "--trace")) {
-      trace_path = args.value(a);
-    } else if (!std::strcmp(a, "--checkpoint")) {
-      checkpoint_path = args.value(a);
-    } else if (!std::strcmp(a, "--checkpoint-every")) {
-      checkpoint_every = parse_u64(a, args.value(a));
-    } else if (!std::strcmp(a, "--restore")) {
-      restore_path = args.value(a);
-    } else if (!std::strcmp(a, "--faulty")) {
+  cli::Args args = make_args(argc, argv, first);
+  while (args.next()) {
+    if (args.is("--sessions")) {
+      sessions = args.integer<std::uint32_t>();
+    } else if (args.is("--rounds")) {
+      rounds = args.integer<int>();
+    } else if (args.is("--workers")) {
+      workers = args.integer<std::size_t>();
+    } else if (args.is("--speed")) {
+      speed = args.real(0.0);
+    } else if (args.is("--seed")) {
+      seed = args.integer<std::uint64_t>();
+    } else if (args.is("--trace")) {
+      trace_path = args.value();
+    } else if (args.is("--checkpoint")) {
+      checkpoint_path = args.value();
+    } else if (args.is("--checkpoint-every")) {
+      checkpoint_every = args.integer<std::size_t>();
+    } else if (args.is("--restore")) {
+      restore_path = args.value();
+    } else if (args.is("--faulty")) {
       faulty = true;
-    } else if (!std::strcmp(a, "--metrics")) {
+    } else if (args.is("--metrics")) {
       metrics = true;
-    } else if (!std::strcmp(a, "--help")) {
+    } else if (args.is("--help")) {
       print_help();
       return 0;
     } else {
-      usage_error(std::string("unknown flag '") + a + "' for local");
+      args.unknown_flag(" for local");
     }
   }
   if (sessions == 0 || rounds <= 0 || workers == 0) {
-    usage_error("need --sessions/--rounds/--workers >= 1");
+    args.fail("need --sessions/--rounds/--workers >= 1");
   }
 
-  std::signal(SIGINT, handle_signal);
-  std::signal(SIGTERM, handle_signal);
+  cli::install_stop_handlers();
 
   Deployment dep(seed);
   std::printf("network: %zu nodes, %zu sniffers, field %.0fx%.0f\n",
@@ -378,7 +316,7 @@ int run_local(int argc, char** argv, int first) {
   stream::Supervisor supervisor(factory, scfg2);
   supervisor.start();
 
-  // The replay loop is the daemon's own (rather than replay_trace_file)
+  // The replay loop is the daemon's own (rather than stream::replay_trace)
   // so SIGINT/SIGTERM can stop it between events and pacing sleeps stay
   // interruptible; the resume offset advances in lockstep with committed
   // checkpoints.
@@ -394,12 +332,12 @@ int run_local(int argc, char** argv, int first) {
   std::optional<stream::ReplayPacer> pacer;
   stream::FluxEvent event;
   bool trace_ok = true;
-  while (!g_stop && replayer.try_next(event)) {
+  while (!cli::stop_requested() && replayer.try_next(event)) {
     if (speed > 0.0) {
       if (!pacer) {
         pacer.emplace(speed, event.time);
       }
-      if (!pacer->pace(event.time, [] { return g_stop != 0; })) {
+      if (!pacer->pace(event.time, cli::stop_requested)) {
         break;  // the un-offered event replays on the next --restore run
       }
     }
@@ -417,7 +355,7 @@ int run_local(int argc, char** argv, int first) {
                  replayer.error()->to_string().c_str());
     trace_ok = false;
   }
-  if (g_stop) {
+  if (cli::stop_requested()) {
     std::puts("\nsignal received: draining...");
   }
   supervisor.finish();
@@ -501,31 +439,30 @@ int run_serve(int argc, char** argv, int first) {
   std::string checkpoint_path;
   stream::AdmissionPolicy admission = stream::AdmissionPolicy::kBlock;
   std::map<std::uint32_t, std::uint64_t> tokens;
-  ArgCursor args{argc, argv, first};
-  for (; args.i < argc; ++args.i) {
-    const char* a = argv[args.i];
-    if (!std::strcmp(a, "--listen")) {
-      listen = args.value(a);
-    } else if (!std::strcmp(a, "--sessions")) {
-      sessions = parse_u64(a, args.value(a));
-    } else if (!std::strcmp(a, "--tenants")) {
-      tenants = parse_u64(a, args.value(a));
-    } else if (!std::strcmp(a, "--workers")) {
-      workers = parse_u64(a, args.value(a));
-    } else if (!std::strcmp(a, "--seed")) {
-      seed = parse_u64(a, args.value(a));
-    } else if (!std::strcmp(a, "--quota")) {
-      quota = parse_u64(a, args.value(a));
-    } else if (!std::strcmp(a, "--queue-capacity")) {
-      queue_capacity = parse_u64(a, args.value(a));
-    } else if (!std::strcmp(a, "--checkpoint")) {
-      checkpoint_path = args.value(a);
-    } else if (!std::strcmp(a, "--checkpoint-epochs")) {
-      checkpoint_epochs = parse_u64(a, args.value(a));
-    } else if (!std::strcmp(a, "--latency-sample")) {
-      latency_sample = parse_u64(a, args.value(a));
-    } else if (!std::strcmp(a, "--admission")) {
-      const std::string policy = args.value(a);
+  cli::Args args = make_args(argc, argv, first);
+  while (args.next()) {
+    if (args.is("--listen")) {
+      listen = args.value();
+    } else if (args.is("--sessions")) {
+      sessions = args.integer<std::uint32_t>();
+    } else if (args.is("--tenants")) {
+      tenants = args.integer<std::uint32_t>();
+    } else if (args.is("--workers")) {
+      workers = args.integer<std::size_t>();
+    } else if (args.is("--seed")) {
+      seed = args.integer<std::uint64_t>();
+    } else if (args.is("--quota")) {
+      quota = args.integer<std::size_t>();
+    } else if (args.is("--queue-capacity")) {
+      queue_capacity = args.integer<std::size_t>();
+    } else if (args.is("--checkpoint")) {
+      checkpoint_path = args.value();
+    } else if (args.is("--checkpoint-epochs")) {
+      checkpoint_epochs = args.integer<std::size_t>();
+    } else if (args.is("--latency-sample")) {
+      latency_sample = args.integer<std::size_t>();
+    } else if (args.is("--admission")) {
+      const std::string policy = args.value();
       if (policy == "block") {
         admission = stream::AdmissionPolicy::kBlock;
       } else if (policy == "shed-newest") {
@@ -533,33 +470,26 @@ int run_serve(int argc, char** argv, int first) {
       } else if (policy == "shed-lowest") {
         admission = stream::AdmissionPolicy::kShedLowestPriority;
       } else {
-        usage_error("--admission must be block, shed-newest, or "
-                    "shed-lowest, got '" +
-                    policy + "'");
+        args.fail("--admission must be block, shed-newest, or "
+                  "shed-lowest, got '" +
+                  policy + "'");
       }
-    } else if (!std::strcmp(a, "--token")) {
-      const std::string pair = args.value(a);
-      const std::size_t colon = pair.find(':');
-      if (colon == std::string::npos) {
-        usage_error("--token needs TENANT:TOKEN, got '" + pair + "'");
-      }
-      const std::uint64_t tenant =
-          parse_u64("--token tenant", pair.substr(0, colon));
-      tokens[static_cast<std::uint32_t>(tenant)] =
-          parse_u64("--token value", pair.substr(colon + 1));
-    } else if (!std::strcmp(a, "--help")) {
+    } else if (args.is("--token")) {
+      const cli::TenantToken t = args.tenant_token();
+      tokens[t.tenant] = t.token;
+    } else if (args.is("--help")) {
       print_help();
       return 0;
     } else {
-      usage_error(std::string("unknown flag '") + a + "' for serve");
+      args.unknown_flag(" for serve");
     }
   }
   if (sessions == 0 || tenants == 0 || workers == 0) {
-    usage_error("need --sessions/--tenants/--workers >= 1");
+    args.fail("need --sessions/--tenants/--workers >= 1");
   }
+  const netio::Endpoint endpoint = args.endpoint(listen);
 
-  std::signal(SIGINT, handle_signal);
-  std::signal(SIGTERM, handle_signal);
+  cli::install_stop_handlers();
 
   Deployment dep(seed);
   stream::ManagerConfig mcfg;
@@ -574,7 +504,7 @@ int run_serve(int argc, char** argv, int first) {
   scfg.checkpoint_path = checkpoint_path;
 
   netio::ServerConfig ncfg;
-  ncfg.endpoint = parse_endpoint(listen);
+  ncfg.endpoint = endpoint;
   ncfg.tenant_tokens = std::move(tokens);
   ncfg.latency_sample_every = latency_sample;
 
@@ -590,7 +520,7 @@ int run_serve(int argc, char** argv, int first) {
               sessions, tenants, server.endpoint().to_string().c_str(),
               workers);
   std::fflush(stdout);
-  while (!g_stop) {
+  while (!cli::stop_requested()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
 
@@ -614,179 +544,44 @@ int run_serve(int argc, char** argv, int first) {
 }
 
 // ---------------------------------------------------------------------------
-// replay-to
-// ---------------------------------------------------------------------------
-
-int run_replay_to(int argc, char** argv, int first) {
-  if (first >= argc || argv[first][0] == '-') {
-    usage_error("replay-to needs an ADDR operand");
-  }
-  const netio::Endpoint endpoint = parse_endpoint(argv[first]);
-  std::string trace_path = "stream_daemon.trace";
-  std::uint64_t tenant = 0;
-  std::uint64_t token = 0;
-  double speed = 0.0;
-  std::size_t batch_size = 64;
-  ArgCursor args{argc, argv, first + 1};
-  for (; args.i < argc; ++args.i) {
-    const char* a = argv[args.i];
-    if (!std::strcmp(a, "--trace")) {
-      trace_path = args.value(a);
-    } else if (!std::strcmp(a, "--tenant")) {
-      tenant = parse_u64(a, args.value(a));
-    } else if (!std::strcmp(a, "--token")) {
-      token = parse_u64(a, args.value(a));
-    } else if (!std::strcmp(a, "--speed")) {
-      speed = parse_f64(a, args.value(a));
-    } else if (!std::strcmp(a, "--batch")) {
-      batch_size = parse_u64(a, args.value(a));
-    } else if (!std::strcmp(a, "--help")) {
-      print_help();
-      return 0;
-    } else {
-      usage_error(std::string("unknown flag '") + a + "' for replay-to");
-    }
-  }
-  if (batch_size == 0) {
-    usage_error("--batch must be >= 1");
-  }
-
-  std::signal(SIGINT, handle_signal);
-  std::signal(SIGTERM, handle_signal);
-
-  std::ifstream trace_in(trace_path, std::ios::binary);
-  if (!trace_in) {
-    std::fprintf(stderr, "replay-to: cannot open %s\n", trace_path.c_str());
-    return 1;
-  }
-
-  netio::Client client;
-  if (!client.connect(endpoint, static_cast<std::uint32_t>(tenant),
-                      token)) {
-    std::fprintf(stderr, "replay-to: %s\n", client.last_error().c_str());
-    return 1;
-  }
-  std::printf("connected to %s as tenant %llu (%u sessions registered)\n",
-              endpoint.to_string().c_str(),
-              static_cast<unsigned long long>(tenant),
-              client.welcome().sessions);
-
-  netio::BatchAckMsg totals;
-  auto flush = [&](std::vector<stream::FluxEvent>& batch) {
-    if (batch.empty()) {
-      return true;
-    }
-    netio::BatchAckMsg ack;
-    if (!client.send_batch(batch, ack)) {
-      std::fprintf(stderr, "replay-to: %s\n", client.last_error().c_str());
-      return false;
-    }
-    totals.accepted += ack.accepted;
-    totals.shed += ack.shed;
-    totals.unknown += ack.unknown;
-    totals.foreign += ack.foreign;
-    totals.closed += ack.closed;
-    batch.clear();
-    return true;
-  };
-
-  const auto wall_start = std::chrono::steady_clock::now();
-  std::optional<stream::ReplayPacer> pacer;
-  std::vector<stream::FluxEvent> batch;
-  stream::FluxEvent event;
-  std::uint64_t sent = 0;
-  bool ok = true;
-  try {
-    stream::TraceReplayer replayer(trace_in);
-    while (!g_stop && replayer.next(event)) {
-      if (speed > 0.0) {
-        if (!pacer) {
-          pacer.emplace(speed, event.time);
-        }
-        if (!pacer->pace(event.time, [] { return g_stop != 0; })) {
-          break;
-        }
-      }
-      batch.push_back(event);
-      ++sent;
-      if (batch.size() >= batch_size && !flush(batch)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok && !flush(batch)) {
-      ok = false;
-    }
-  } catch (const stream::TraceFormatError& e) {
-    std::fprintf(stderr, "replay-to: trace %s: %s\n", trace_path.c_str(),
-                 e.what());
-    ok = false;
-  }
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  std::printf("streamed %llu events in %.3fs (%.0f events/s offered): "
-              "%llu accepted, %llu shed, %llu unknown, %llu foreign, "
-              "%llu closed\n",
-              static_cast<unsigned long long>(sent), wall,
-              wall > 0.0 ? static_cast<double>(sent) / wall : 0.0,
-              static_cast<unsigned long long>(totals.accepted),
-              static_cast<unsigned long long>(totals.shed),
-              static_cast<unsigned long long>(totals.unknown),
-              static_cast<unsigned long long>(totals.foreign),
-              static_cast<unsigned long long>(totals.closed));
-  if (pacer && pacer->max_behind_seconds() > 0.0) {
-    std::printf("pacing: worst lag behind schedule %.1f ms\n",
-                1e3 * pacer->max_behind_seconds());
-  }
-  if (ok) {
-    client.goodbye();
-  }
-  return ok ? 0 : 1;
-}
-
-// ---------------------------------------------------------------------------
 // query
 // ---------------------------------------------------------------------------
 
 int run_query(int argc, char** argv, int first) {
+  cli::Args args = make_args(argc, argv, first + 1);
   if (first >= argc || argv[first][0] == '-') {
-    usage_error("query needs an ADDR operand");
+    args.fail("query needs an ADDR operand");
   }
-  const netio::Endpoint endpoint = parse_endpoint(argv[first]);
-  std::uint64_t tenant = 0;
+  const netio::Endpoint endpoint = args.endpoint(argv[first]);
+  std::uint32_t tenant = 0;
   std::uint64_t token = 0;
   std::optional<std::uint32_t> user;
   bool metrics = false;
   std::string snapshot_path;
-  ArgCursor args{argc, argv, first + 1};
-  for (; args.i < argc; ++args.i) {
-    const char* a = argv[args.i];
-    if (!std::strcmp(a, "--tenant")) {
-      tenant = parse_u64(a, args.value(a));
-    } else if (!std::strcmp(a, "--token")) {
-      token = parse_u64(a, args.value(a));
-    } else if (!std::strcmp(a, "--user")) {
-      user = static_cast<std::uint32_t>(parse_u64(a, args.value(a)));
-    } else if (!std::strcmp(a, "--metrics")) {
+  while (args.next()) {
+    if (args.is("--tenant")) {
+      tenant = args.integer<std::uint32_t>();
+    } else if (args.is("--token")) {
+      token = args.integer<std::uint64_t>();
+    } else if (args.is("--user")) {
+      user = args.integer<std::uint32_t>();
+    } else if (args.is("--metrics")) {
       metrics = true;
-    } else if (!std::strcmp(a, "--snapshot")) {
-      snapshot_path = args.value(a);
-    } else if (!std::strcmp(a, "--help")) {
+    } else if (args.is("--snapshot")) {
+      snapshot_path = args.value();
+    } else if (args.is("--help")) {
       print_help();
       return 0;
     } else {
-      usage_error(std::string("unknown flag '") + a + "' for query");
+      args.unknown_flag(" for query");
     }
   }
   if (!user && !metrics && snapshot_path.empty()) {
-    usage_error("query needs --user, --metrics, or --snapshot");
+    args.fail("query needs --user, --metrics, or --snapshot");
   }
 
   netio::Client client;
-  if (!client.connect(endpoint, static_cast<std::uint32_t>(tenant),
-                      token)) {
+  if (!client.connect(endpoint, tenant, token)) {
     std::fprintf(stderr, "query: %s\n", client.last_error().c_str());
     return 1;
   }
@@ -878,11 +673,8 @@ int main(int argc, char** argv) {
   if (cmd == "serve") {
     return run_serve(argc, argv, first);
   }
-  if (cmd == "replay-to") {
-    return run_replay_to(argc, argv, first);
-  }
   if (cmd == "query") {
     return run_query(argc, argv, first);
   }
-  usage_error("unknown subcommand '" + cmd + "'");
+  make_args(argc, argv, 1).fail("unknown subcommand '" + cmd + "'");
 }

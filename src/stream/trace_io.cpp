@@ -252,14 +252,4 @@ std::uint64_t replay_trace(TraceReplayer& replayer, TrackerManager& manager,
   return pushed;
 }
 
-std::uint64_t replay_trace_file(const std::string& path,
-                                TrackerManager& manager, double speed) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("replay_trace_file: cannot open " + path);
-  }
-  TraceReplayer replayer(in);
-  return replay_trace(replayer, manager, speed);
-}
-
 }  // namespace fluxfp::stream

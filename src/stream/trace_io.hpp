@@ -200,8 +200,4 @@ class ReplayPacer {
 std::uint64_t replay_trace(TraceReplayer& replayer, TrackerManager& manager,
                            double speed = 0.0);
 
-/// File-path convenience for replay_trace.
-std::uint64_t replay_trace_file(const std::string& path,
-                                TrackerManager& manager, double speed = 0.0);
-
 }  // namespace fluxfp::stream

@@ -33,11 +33,9 @@ bool order_sensitive_dir(const std::string& path) {
          starts_with(path, "src/core/") || starts_with(path, "src/eval/") ||
          starts_with(path, "src/trace/") || starts_with(path, "src/obs/") ||
          starts_with(path, "src/netio/") ||
-         // Observation-model site layers: link enumeration defines the
-         // stable site keys of the RSS backend, and detection sampling's
-         // draw order is part of the replay contract.
-         starts_with(path, "src/net/links") ||
-         starts_with(path, "src/sim/detection");
+         // The RSS backend's site layer: link enumeration defines its
+         // stable site keys.
+         starts_with(path, "src/net/links");
 }
 
 /// The only places allowed to own raw threads: the pool itself, the

@@ -20,11 +20,8 @@
 // error frames, and (kBlock servers) processed == accepted, or exit 1.
 
 #include <algorithm>
-#include <cerrno>
-#include <csignal>
+#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <optional>
 #include <string>
@@ -33,14 +30,11 @@
 
 #include "netio/client.hpp"
 #include "stream/trace_io.hpp"
+#include "support/cli.hpp"
 
 namespace {
 
 using namespace fluxfp;
-
-volatile std::sig_atomic_t g_stop = 0;
-
-void handle_signal(int) { g_stop = 1; }
 
 constexpr const char* kUsage =
     "usage: fluxfp_loadgen ADDR --trace PATH [--connections M] "
@@ -61,31 +55,6 @@ constexpr const char* kUsage =
     "                    sent 0 error frames, and processed == accepted\n"
     "\n"
     "exit status: 0 ok, 1 runtime or --check failure, 2 usage error.\n";
-
-[[noreturn]] void usage_error(const std::string& message) {
-  std::fprintf(stderr, "fluxfp_loadgen: %s\n%s", message.c_str(), kUsage);
-  std::exit(2);
-}
-
-std::uint64_t parse_u64(const char* flag, const std::string& text) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE) {
-    usage_error(std::string(flag) + " needs a non-negative integer, got '" +
-                text + "'");
-  }
-  return v;
-}
-
-double parse_f64(const char* flag, const std::string& text) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') {
-    usage_error(std::string(flag) + " needs a number, got '" + text + "'");
-  }
-  return v;
-}
 
 /// One connection's share of the replay and what came back for it.
 struct ConnResult {
@@ -129,8 +98,8 @@ void run_connection(const netio::Endpoint& endpoint, std::uint32_t tenant,
     return true;
   };
   for (const stream::FluxEvent& event : events) {
-    if (g_stop != 0 ||
-        !pacer.pace(event.time, [] { return g_stop != 0; })) {
+    if (cli::stop_requested() ||
+        !pacer.pace(event.time, cli::stop_requested)) {
       break;
     }
     batch.push_back(event);
@@ -158,68 +127,51 @@ int main(int argc, char** argv) {
   bool check = false;
   std::map<std::uint32_t, std::uint64_t> tokens;
 
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        usage_error(std::string(a) + " needs a value");
-      }
-      return argv[++i];
-    };
-    if (!std::strcmp(a, "--trace")) {
-      trace_path = value();
-    } else if (!std::strcmp(a, "--connections")) {
-      connections = parse_u64(a, value());
-    } else if (!std::strcmp(a, "--tenants")) {
-      tenants = parse_u64(a, value());
-    } else if (!std::strcmp(a, "--speed")) {
-      speed = parse_f64(a, value());
-    } else if (!std::strcmp(a, "--batch")) {
-      batch_size = parse_u64(a, value());
-    } else if (!std::strcmp(a, "--token")) {
-      const std::string pair = value();
-      const std::size_t colon = pair.find(':');
-      if (colon == std::string::npos) {
-        usage_error("--token needs TENANT:TOKEN, got '" + pair + "'");
-      }
-      tokens[static_cast<std::uint32_t>(
-          parse_u64("--token tenant", pair.substr(0, colon)))] =
-          parse_u64("--token value", pair.substr(colon + 1));
-    } else if (!std::strcmp(a, "--check")) {
+  cli::Args args(argc, argv, 1, "fluxfp_loadgen", kUsage);
+  while (args.next()) {
+    if (args.is("--trace")) {
+      trace_path = args.value();
+    } else if (args.is("--connections")) {
+      connections = args.integer<std::size_t>();
+    } else if (args.is("--tenants")) {
+      tenants = args.integer<std::uint32_t>();
+    } else if (args.is("--speed")) {
+      speed = args.real(0.0);
+    } else if (args.is("--batch")) {
+      batch_size = args.integer<std::size_t>();
+    } else if (args.is("--token")) {
+      const cli::TenantToken t = args.tenant_token();
+      tokens[t.tenant] = t.token;
+    } else if (args.is("--check")) {
       check = true;
-    } else if (!std::strcmp(a, "--help") || !std::strcmp(a, "-h")) {
+    } else if (args.is("--help") || args.is("-h")) {
       std::fputs(kUsage, stdout);
       return 0;
-    } else if (a[0] == '-') {
-      usage_error(std::string("unknown flag '") + a + "'");
+    } else if (args.flag()[0] == '-') {
+      args.unknown_flag();
     } else if (addr.empty()) {
-      addr = a;
+      addr = args.flag();
     } else {
-      usage_error(std::string("unexpected operand '") + a + "'");
+      args.fail(std::string("unexpected operand '") + args.flag() + "'");
     }
   }
   if (addr.empty()) {
-    usage_error("ADDR operand is required");
+    args.fail("ADDR operand is required");
   }
   if (trace_path.empty()) {
-    usage_error("--trace is required");
+    args.fail("--trace is required");
   }
   if (connections == 0 || tenants == 0 || batch_size == 0) {
-    usage_error("--connections/--tenants/--batch must be >= 1");
+    args.fail("--connections/--tenants/--batch must be >= 1");
   }
   if (connections % tenants != 0) {
-    usage_error("--connections must be a multiple of --tenants so the "
-                "connection->tenant map matches the server's "
-                "session->tenant map");
+    args.fail("--connections must be a multiple of --tenants so the "
+              "connection->tenant map matches the server's "
+              "session->tenant map");
   }
-  std::string why;
-  const auto endpoint = netio::Endpoint::parse(addr, &why);
-  if (!endpoint) {
-    usage_error(why);
-  }
+  const netio::Endpoint endpoint = args.endpoint(addr);
 
-  std::signal(SIGINT, handle_signal);
-  std::signal(SIGTERM, handle_signal);
+  cli::install_stop_handlers();
 
   std::vector<stream::FluxEvent> events;
   try {
@@ -245,7 +197,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("replaying %zu events from %s to %s\n", events.size(),
-              trace_path.c_str(), endpoint->to_string().c_str());
+              trace_path.c_str(), endpoint.to_string().c_str());
   std::printf("%zu connections over %zu tenants, %.0fx speed, batch %zu\n",
               connections, tenants, speed, batch_size);
 
@@ -258,7 +210,7 @@ int main(int argc, char** argv) {
       const auto tenant = static_cast<std::uint32_t>(c % tenants);
       const auto it = tokens.find(tenant);
       const std::uint64_t token = it == tokens.end() ? 0 : it->second;
-      threads.emplace_back(run_connection, std::cref(*endpoint), tenant,
+      threads.emplace_back(run_connection, std::cref(endpoint), tenant,
                            token, std::cref(shares[c]), speed, epoch_time,
                            batch_size, std::ref(results[c]));
     }
@@ -310,7 +262,7 @@ int main(int argc, char** argv) {
       tokens.empty() ? 0 : tokens.begin()->second;
   const std::uint32_t control_tenant =
       tokens.empty() ? 0 : tokens.begin()->first;
-  if (!control.connect(*endpoint, control_tenant, control_token) ||
+  if (!control.connect(endpoint, control_tenant, control_token) ||
       !control.metrics(m)) {
     std::fprintf(stderr, "fluxfp_loadgen: metrics fetch failed: %s\n",
                  control.last_error().c_str());
