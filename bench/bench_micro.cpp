@@ -6,8 +6,10 @@
 #include <benchmark/benchmark.h>
 
 #include <fstream>
+#include <random>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "core/localizer.hpp"
 #include "core/nls.hpp"
@@ -287,6 +289,42 @@ void BM_ShapeColumns(benchmark::State& state) {
                           static_cast<int64_t>(batch));
 }
 BENCHMARK(BM_ShapeColumns)->Arg(1000)->Arg(10000);
+
+// BM_ShapeColumns with sinks that exercise the rect row's exit-axis guard
+// (DESIGN.md §14): half lie on the field boundary, half on the line from
+// a corner through a sniffed node, just beyond the node, so that node's
+// ray exits at the corner (t_x ~ t_y) and its vector takes the two-axis
+// fallback. The gap to BM_ShapeColumns is the fallback's cost.
+void BM_ShapeColumnsEdge(benchmark::State& state) {
+  const core::SparseObjective obj = make_objective(90, 1);
+  const std::vector<geom::Vec2>& nodes = obj.sample_positions();
+  const double w = field().width();
+  const double h = field().height();
+  const std::size_t batch = static_cast<std::size_t>(state.range(0));
+  geom::Rng rng(13);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<geom::Vec2> sinks(batch);
+  for (std::size_t c = 0; c < batch; ++c) {
+    const double t = unit(rng);
+    if (c % 2 == 0) {
+      const geom::Vec2 on_edge[4] = {{0.0, t * h}, {w, t * h}, {t * w, 0.0},
+                                     {t * w, h}};
+      sinks[c] = on_edge[(c / 2) % 4];
+    } else {
+      const geom::Vec2 q = nodes[(c / 2) % nodes.size()];
+      const geom::Vec2 corner{(c / 2) % 2 ? w : 0.0, (c / 4) % 2 ? h : 0.0};
+      sinks[c] = field().clamp(q + (q - corner) * (0.3 * t));
+    }
+  }
+  core::ColumnBlock block;
+  for (auto _ : state) {
+    obj.shape_columns(sinks, block);
+    benchmark::DoNotOptimize(block.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(batch));
+}
+BENCHMARK(BM_ShapeColumnsEdge)->Arg(1000)->Arg(10000);
 
 // The same batched ColumnBlock build through the other two observation
 // backends — shows the virtual-dispatch-at-column-granularity seam keeps

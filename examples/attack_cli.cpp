@@ -16,11 +16,19 @@
 //   defense (none)     none|pad|dummy|jitter   pad_level (50) padding floor
 //   dummy_count (2)    chaff trees per window  jitter_sigma (0.5)
 
+#include <climits>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <initializer_list>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <set>
+#include <string>
 
 #include "core/baseline.hpp"
+#include "core/nls.hpp"
 #include "core/smc.hpp"
 #include "eval/config.hpp"
 #include "privacy/countermeasure.hpp"
@@ -30,53 +38,140 @@
 #include "sim/scenario.hpp"
 #include "sim/sniffer.hpp"
 
+namespace {
+
+using fluxfp::eval::Config;
+
+constexpr const char* kUsage =
+    "usage: attack_cli [scenario.cfg] [--key value ...]\n"
+    "  keys: nodes radius deployment users rounds fraction vmax seed\n"
+    "        tracker stretch noise dropout defense pad_level dummy_count\n"
+    "        jitter_sigma (see the header of examples/attack_cli.cpp)\n";
+
+/// Every parse failure: "attack_cli: <message>", the usage, exit 2 — the
+/// same contract as the tools built on support/cli.hpp.
+[[noreturn]] void usage_error(const std::string& message) {
+  std::fprintf(stderr, "attack_cli: %s\n%s", message.c_str(), kUsage);
+  std::exit(2);
+}
+
+/// Integer key in [lo, hi].
+long count(const Config& cfg, const std::string& key, long fallback, long lo,
+           long hi) {
+  long v = 0;
+  bool parsed = true;
+  try {
+    v = cfg.get_int(key, fallback);
+  } catch (const std::exception&) {
+    parsed = false;
+  }
+  if (!parsed || v < lo || v > hi) {
+    usage_error("--" + key + " needs an integer in [" + std::to_string(lo) +
+                ", " + std::to_string(hi) + "], got '" +
+                cfg.get_string(key) + "'");
+  }
+  return v;
+}
+
+/// Finite real key in [lo, hi], or in (lo, hi] when `lo_open`.
+double real(const Config& cfg, const std::string& key, double fallback,
+            double lo, double hi, bool lo_open = false) {
+  double v = std::numeric_limits<double>::quiet_NaN();
+  try {
+    v = cfg.get_double(key, fallback);
+  } catch (const std::exception&) {
+  }
+  if (!std::isfinite(v) || v < lo || (lo_open && v == lo) || v > hi) {
+    char range[96];
+    std::snprintf(range, sizeof range, "%c%g, %g]", lo_open ? '(' : '[', lo,
+                  hi);
+    usage_error("--" + key + " needs a number in " + range + ", got '" +
+                cfg.get_string(key) + "'");
+  }
+  return v;
+}
+
+/// `key`'s value, which must be one of `choices`.
+std::string choice(const Config& cfg, const std::string& key,
+                   const std::string& fallback,
+                   std::initializer_list<const char*> choices) {
+  const std::string v = cfg.get_string(key, fallback);
+  std::string all;
+  for (const char* c : choices) {
+    if (v == c) {
+      return v;
+    }
+    all += all.empty() ? c : std::string("|") + c;
+  }
+  usage_error("--" + key + " needs one of " + all + ", got '" + v + "'");
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace fluxfp;
 
+  // Every key and value is checked here, before any work: an unknown key
+  // (flag or config file), an out-of-range count or fraction, or a
+  // malformed number exits 2 with the usage.
   eval::Config cfg;
   const eval::Config args = eval::Config::parse_args(argc, argv);
   try {
     for (const std::string& path : args.positional()) {
       cfg.merge(eval::Config::parse_file(path));
     }
-    cfg.merge(args);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "config error: %s\n", e.what());
-    return 1;
+    usage_error(e.what());
+  }
+  cfg.merge(args);
+  static const std::set<std::string> kKeys = {
+      "nodes",  "radius",  "deployment", "users",     "rounds",
+      "fraction", "vmax",  "seed",       "tracker",   "stretch",
+      "noise",  "dropout", "defense",    "pad_level", "dummy_count",
+      "jitter_sigma"};
+  for (const std::string& key : cfg.keys()) {
+    if (kKeys.count(key) == 0) {
+      usage_error("unknown key '" + key + "'");
+    }
   }
 
-  const auto nodes = static_cast<std::size_t>(cfg.get_int("nodes", 900));
-  const double radius = cfg.get_double("radius", 2.4);
-  const std::string deployment = cfg.get_string("deployment", "grid");
-  const auto users = static_cast<std::size_t>(cfg.get_int("users", 2));
-  const int rounds = static_cast<int>(cfg.get_int("rounds", 10));
-  const double fraction = cfg.get_double("fraction", 0.10);
-  const double vmax = cfg.get_double("vmax", 5.0);
-  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 2010));
-  const std::string tracker_kind = cfg.get_string("tracker", "smc");
-  const double stretch = cfg.get_double("stretch", 2.0);
+  const auto nodes = static_cast<std::size_t>(count(cfg, "nodes", 900, 1,
+                                                    1'000'000));
+  const double radius = real(cfg, "radius", 2.4, 0.0, 1e6, true);
+  const std::string deployment =
+      choice(cfg, "deployment", "grid", {"grid", "random"});
+  const auto users = static_cast<std::size_t>(
+      count(cfg, "users", 2, 1, static_cast<long>(core::kMaxGramUsers)));
+  const int rounds = static_cast<int>(count(cfg, "rounds", 10, 1, INT_MAX));
+  const double fraction = real(cfg, "fraction", 0.10, 0.0, 1.0, true);
+  const double vmax = real(cfg, "vmax", 5.0, 0.0, 1e6, true);
+  const auto seed =
+      static_cast<std::uint64_t>(count(cfg, "seed", 2010, 0, LONG_MAX));
+  const std::string tracker_kind =
+      choice(cfg, "tracker", "smc", {"smc", "instant", "ekf"});
+  const double stretch = real(cfg, "stretch", 2.0, 0.0, 1e6);
   sim::FluxNoise noise;
-  noise.relative_sigma = cfg.get_double("noise", 0.0);
-  noise.dropout_prob = cfg.get_double("dropout", 0.0);
+  noise.relative_sigma = real(cfg, "noise", 0.0, 0.0, 1e6);
+  noise.dropout_prob = real(cfg, "dropout", 0.0, 0.0, 1.0);
 
   // Optional traffic-reshaping defense applied by the network each window.
   privacy::CountermeasureConfig def_cfg;
-  const std::string defense = cfg.get_string("defense", "none");
+  const std::string defense =
+      choice(cfg, "defense", "none", {"none", "pad", "dummy", "jitter"});
+  const double pad_level = real(cfg, "pad_level", 50.0, 0.0, 1e12);
+  const auto dummy_count =
+      static_cast<std::size_t>(count(cfg, "dummy_count", 2, 0, 1000));
+  const double jitter_sigma = real(cfg, "jitter_sigma", 0.5, 0.0, 1e6);
   if (defense == "pad") {
     def_cfg.kind = privacy::CountermeasureKind::kConstantPadding;
-    def_cfg.pad_level = cfg.get_double("pad_level", 50.0);
+    def_cfg.pad_level = pad_level;
   } else if (defense == "dummy") {
     def_cfg.kind = privacy::CountermeasureKind::kDummyTrees;
-    def_cfg.dummy_count =
-        static_cast<std::size_t>(cfg.get_int("dummy_count", 2));
-    def_cfg.dummy_stretch = cfg.get_double("stretch", 2.0);
+    def_cfg.dummy_count = dummy_count;
+    def_cfg.dummy_stretch = stretch;
   } else if (defense == "jitter") {
     def_cfg.kind = privacy::CountermeasureKind::kStretchJitter;
-    def_cfg.jitter_sigma = cfg.get_double("jitter_sigma", 0.5);
-  } else if (defense != "none") {
-    std::fprintf(stderr, "unknown defense '%s' (none|pad|dummy|jitter)\n",
-                 defense.c_str());
-    return 1;
+    def_cfg.jitter_sigma = jitter_sigma;
   }
   const privacy::Countermeasure defense_impl(def_cfg);
 
@@ -87,10 +182,6 @@ int main(int argc, char** argv) {
   spec.radius = radius;
   if (deployment == "random") {
     spec.kind = net::DeploymentKind::kUniformRandom;
-  } else if (deployment != "grid") {
-    std::fprintf(stderr, "unknown deployment '%s' (grid|random)\n",
-                 deployment.c_str());
-    return 1;
   }
   const net::UnitDiskGraph graph =
       eval::build_connected_network(spec, field, rng);
@@ -134,12 +225,8 @@ int main(int argc, char** argv) {
     smc = std::make_unique<core::SmcTracker>(field, users, tcfg, rng);
   } else if (tracker_kind == "instant") {
     instant = std::make_unique<core::InstantNlsTracker>(field, users);
-  } else if (tracker_kind == "ekf") {
-    ekf = std::make_unique<core::EkfTracker>(field, users);
   } else {
-    std::fprintf(stderr, "unknown tracker '%s' (smc|instant|ekf)\n",
-                 tracker_kind.c_str());
-    return 1;
+    ekf = std::make_unique<core::EkfTracker>(field, users);
   }
 
   eval::Table table({"round", "mean err", "max err"});

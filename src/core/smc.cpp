@@ -107,7 +107,7 @@ SmcState SmcTracker::save_state() const {
   return state;
 }
 
-void SmcTracker::restore_state(const SmcState& state) {
+void SmcTracker::validate_state(const SmcState& state) const {
   if (state.users.size() != particles_.size()) {
     throw std::invalid_argument(
         "SmcTracker: snapshot user count does not match this tracker");
@@ -119,7 +119,28 @@ void SmcTracker::restore_state(const SmcState& state) {
           "SmcTracker: snapshot particle set empty or larger than "
           "num_predictions");
     }
+    // A NaN weight pins estimate() to one particle, and a negative one
+    // breaks the resampler's discrete_distribution precondition.
+    double wsum = 0.0;
+    for (const Particle& p : us.particles) {
+      if (!std::isfinite(p.position.x) || !std::isfinite(p.position.y) ||
+          !std::isfinite(p.weight) || p.weight < 0.0) {
+        throw std::invalid_argument(
+            "SmcTracker: snapshot particle has a non-finite position or a "
+            "non-finite or negative weight");
+      }
+      wsum += p.weight;
+    }
+    if (!(wsum > 0.0) || !std::isfinite(wsum)) {
+      throw std::invalid_argument(
+          "SmcTracker: snapshot particle weights must have a finite "
+          "positive sum");
+    }
   }
+}
+
+void SmcTracker::restore_state(const SmcState& state) {
+  validate_state(state);
   for (std::size_t u = 0; u < particles_.size(); ++u) {
     const SmcUserState& us = state.users[u];
     ParticleSet& set = particles_[u];

@@ -97,7 +97,7 @@ struct SmcUserState {
 
 /// Complete mutable state of an SmcTracker. Configuration and the field are
 /// deliberately absent: a restore target must be constructed with the same
-/// inputs, and restore_state() only validates shapes.
+/// inputs; restore_state() validates shapes and particle values only.
 struct SmcState {
   std::vector<SmcUserState> users;
   int bad_rounds = 0;
@@ -171,9 +171,15 @@ class SmcTracker {
   /// to one that never stopped — the checkpoint half of the streaming
   /// runtime's durability contract.
   SmcState save_state() const;
+  /// Throws std::invalid_argument unless `state` could have come from
+  /// save_state() on a tracker built with this one's inputs: the user
+  /// count matches, each particle set is non-empty and at most
+  /// num_predictions, every position is finite, and every weight is finite
+  /// and >= 0 with a finite positive sum per user.
+  void validate_state(const SmcState& state) const;
   /// Restores a snapshot taken from a tracker constructed with the same
-  /// inputs. Throws std::invalid_argument on a shape mismatch (wrong user
-  /// count, empty particle sets, or sets larger than num_predictions).
+  /// inputs. Runs validate_state() first, so a refused snapshot leaves the
+  /// tracker untouched.
   void restore_state(const SmcState& state);
 
  private:

@@ -211,10 +211,52 @@ inline bool detect_tail(double sx, double sy, double inv_r2, double ax,
   return true;
 }
 
+/// Relative margin of the exit-axis test (DESIGN.md §14). The rounded
+/// chains num / (r / nrm) move the ratio t_x / t_y by at most ~5 ulp
+/// (a factor below 1 + 2^-50.6), so a product that undercuts the other by
+/// 2^-40 picks the axis whose rounded exit min() would return.
+constexpr double kExitMargin = 1.0 - 0x1p-40;
+/// Products and quotients must exceed this to stay normal, where every
+/// rounding has relative error at most 2^-53 as the bound assumes.
+constexpr double kNormalFloor = 0x1p-1020;
+
+/// Per-lane choice of the rect slab exit without dividing. t_x < t_y
+/// exactly when P = |num_x| |r_y| < Q = |num_y| |r_x| (the ray norm
+/// cancels). `decided` is set where one product wins by the margin and
+/// the bound's premises hold: P and Q normal and finite (so no r or num
+/// is ±0), both quotients |r| / nrm normal (so nrm is finite), and a
+/// non-degenerate ray (n2 > 0).
+struct ExitAxis {
+  LaneMask x;
+  LaneMask decided;
+};
+
+inline ExitAxis pick_exit_axis(DoubleVec ax, DoubleVec ay, DoubleVec bx,
+                               DoubleVec by, DoubleVec nrm, DoubleVec n2) {
+  const DoubleVec margin = broadcast(kExitMargin);
+  const DoubleVec floor = broadcast(kNormalFloor);
+  const DoubleVec p = mul(bx, ay);
+  const DoubleVec q = mul(by, ax);
+  const LaneMask x_wins = cmp_lt(p, mul(q, margin));
+  const LaneMask y_wins = cmp_lt(q, mul(p, margin));
+  const LaneMask products_normal =
+      mask_and(cmp_gt(min(p, q), floor), cmp_lt(max(p, q), broadcast(kInf)));
+  const LaneMask quotients_normal = cmp_gt(min(ax, ay), mul(nrm, floor));
+  const LaneMask ok = mask_and(mask_and(products_normal, quotients_normal),
+                               cmp_gt(n2, zero()));
+  return {x_wins, mask_and(mask_or(x_wins, y_wins), ok)};
+}
+
 /// The rect row body. kInside: the sink is its own clamp (sx == px and
 /// sy == py), so q - p is -(s - q) exactly, the ray's squared norm is d^2
 /// and its norm is d, bit for bit; only a sink outside the field pays the
 /// second sqrt.
+///
+/// Only min(t_x, t_y) survives, so a vector whose lanes all pass
+/// pick_exit_axis divides for the winning axis alone: the same two IEEE
+/// divisions r / nrm and num / u as the full path, hence the same double,
+/// at 3 divides per element instead of 5. Any undecided lane sends its
+/// vector through the full two-axis path.
 template <bool kInside>
 bool rect_row(double sx, double sy, double px, double py, double width,
               double height, double d_min, double l_degenerate,
@@ -231,6 +273,10 @@ bool rect_row(double sx, double sy, double px, double py, double width,
   const DoubleVec vnx = broadcast(-px);
   const DoubleVec vhy = broadcast(height - py);
   const DoubleVec vny = broadcast(-py);
+  const DoubleVec vawx = abs(vwx);
+  const DoubleVec vanx = abs(vnx);
+  const DoubleVec vahy = abs(vhy);
+  const DoubleVec vany = abs(vny);
   const DoubleVec vldeg = broadcast(l_degenerate);
   const DoubleVec vdmin = broadcast(d_min);
   const DoubleVec vtwo = broadcast(2.0);
@@ -254,20 +300,37 @@ bool rect_row(double sx, double sy, double px, double py, double width,
     const DoubleVec ry = sub(y, vpy);
     const DoubleVec n2 = kInside ? d2 : add(mul(rx, rx), mul(ry, ry));
     const DoubleVec nrm = kInside ? d : sqrt(n2);
-    const DoubleVec ux = div(rx, nrm);
-    const DoubleVec uy = div(ry, nrm);
-    // Slab exits: numerator (width-px) for ux > 0, -px for ux < 0; a zero
-    // component leaves that axis at +inf exactly like the scalar branches.
-    DoubleVec tx = div(blend(cmp_gt(ux, vzero), vwx, vnx), ux);
-    tx = blend(cmp_eq(ux, vzero), vinf, tx);
-    DoubleVec ty = div(blend(cmp_gt(uy, vzero), vhy, vny), uy);
-    ty = blend(cmp_eq(uy, vzero), vinf, ty);
-    const DoubleVec t_exit = min(min(vinf, tx), ty);
-    const DoubleVec l_ray = max(t_exit, vzero);
-    // Degenerate node == clamped-sink lanes take the nearest-boundary
-    // fallback, exactly like boundary_distance_through.
-    const DoubleVec l = blend(cmp_gt(n2, vzero), l_ray, vldeg);
-    const DoubleVec l2md2 = max(sub(mul(l, l), mul(d, d)), vzero);
+    // p = clamp(sink) lies in the field, so on a decided lane num and
+    // u = r / nrm share a sign and num / u is |num| / |u| bit for bit:
+    // only magnitudes are needed, |width - px| heading +x, |px| heading -x.
+    const DoubleVec ax = abs(rx);
+    const DoubleVec ay = abs(ry);
+    const DoubleVec bx = blend(cmp_gt(rx, vzero), vawx, vanx);
+    const DoubleVec by = blend(cmp_gt(ry, vzero), vahy, vany);
+    const ExitAxis axis = pick_exit_axis(ax, ay, bx, by, nrm, n2);
+    DoubleVec l;
+    if (all_lanes(axis.decided)) {
+      const DoubleVec u = div(blend(axis.x, ax, ay), nrm);
+      l = div(blend(axis.x, bx, by), u);
+    } else {
+      const DoubleVec ux = div(rx, nrm);
+      const DoubleVec uy = div(ry, nrm);
+      // Slab exits: numerator (width-px) for ux > 0, -px for ux < 0; a
+      // zero component leaves that axis at +inf exactly like the scalar
+      // branches.
+      DoubleVec tx = div(blend(cmp_gt(ux, vzero), vwx, vnx), ux);
+      tx = blend(cmp_eq(ux, vzero), vinf, tx);
+      DoubleVec ty = div(blend(cmp_gt(uy, vzero), vhy, vny), uy);
+      ty = blend(cmp_eq(uy, vzero), vinf, ty);
+      const DoubleVec t_exit = min(min(vinf, tx), ty);
+      const DoubleVec l_ray = max(t_exit, vzero);
+      // Degenerate node == clamped-sink lanes take the nearest-boundary
+      // fallback, exactly like boundary_distance_through.
+      l = blend(cmp_gt(n2, vzero), l_ray, vldeg);
+    }
+    // max(0, x) is std::max(x, 0.0) for every x, NaN included: a d^2 that
+    // overflows makes l^2 - d^2 = inf - inf, and the scalar path keeps it.
+    const DoubleVec l2md2 = max(vzero, sub(mul(l, l), mul(d, d)));
     store(out + i, div(l2md2, mul(vtwo, max(d, vdmin))));
   }
   for (; i < n; ++i) {

@@ -66,6 +66,13 @@ void scale_rows(double* out, const double* scale, std::size_t n);
 /// fallback). Returns false — leaving out[] in an unspecified state — when
 /// the backend is scalar or any input coordinate is non-finite; the caller
 /// must then run the scalar FluxModel::shape loop.
+///
+/// Only the nearer slab exit min(t_x, t_y) enters phi, so a vector whose
+/// lanes all pass a division-free test (|num_x| |r_y| against
+/// |num_y| |r_x| with a 2^-40 relative margin, every operand normal and
+/// finite) divides for that axis alone: 1 sqrt and 3 divides per element
+/// instead of 1 and 5, with the same IEEE quotients and so the same bits.
+/// Any other vector takes the two-axis path (DESIGN.md §14).
 bool rect_shape_row(double sx, double sy, double px, double py, double width,
                     double height, double d_min, double l_degenerate,
                     const double* qx, const double* qy, std::size_t n,

@@ -322,6 +322,7 @@ void TrackerManager::restore(const ManagerCheckpoint& cp) {
           "TrackerManager: checkpoint session does not match the "
           "registered deployment (sniffer set or user count)");
     }
+    t.validate_state(sc.state);
     targets.push_back(it->second);
   }
   for (std::size_t i = 0; i < cp.sessions.size(); ++i) {

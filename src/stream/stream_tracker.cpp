@@ -33,6 +33,16 @@ std::vector<core::Site> point_sites_of(const std::vector<geom::Vec2>& p) {
   return sites;
 }
 
+geom::Rng parse_rng(const std::string& text) {
+  geom::Rng rng;
+  std::istringstream is(text);
+  if (!(is >> rng)) {
+    throw std::invalid_argument(
+        "StreamTracker: snapshot RNG stream is unparseable");
+  }
+  return rng;
+}
+
 }  // namespace
 
 StreamTracker::StreamTracker(const core::ObservationModel& model,
@@ -233,7 +243,7 @@ StreamTrackerState StreamTracker::save_state() const {
   return state;
 }
 
-void StreamTracker::restore_state(const StreamTrackerState& state) {
+void StreamTracker::validate_state(const StreamTrackerState& state) const {
   const std::size_t slots = sniffer_nodes_.size();
   for (std::size_t i = 0; i < state.open.size(); ++i) {
     const WindowState& ws = state.open[i];
@@ -248,18 +258,16 @@ void StreamTracker::restore_state(const StreamTrackerState& state) {
           "StreamTracker: snapshot windows not in ascending epoch order");
     }
   }
-  geom::Rng restored_rng;
-  {
-    std::istringstream is(state.rng);
-    if (!(is >> restored_rng)) {
-      throw std::invalid_argument(
-          "StreamTracker: snapshot RNG stream is unparseable");
-    }
-  }
-  // All validation above throws before any member is touched, so a bad
-  // snapshot never leaves the tracker half-restored.
-  smc_.restore_state(state.smc);  // validates its own shapes; throws first
-  rng_ = restored_rng;
+  parse_rng(state.rng);
+  smc_.validate_state(state.smc);
+}
+
+void StreamTracker::restore_state(const StreamTrackerState& state) {
+  // All validation throws before any member is touched, so a bad snapshot
+  // never leaves the tracker half-restored.
+  validate_state(state);
+  smc_.restore_state(state.smc);
+  rng_ = parse_rng(state.rng);
   rng_text_.clear();
   open_.clear();
   for (const WindowState& ws : state.open) {

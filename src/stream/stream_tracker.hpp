@@ -169,11 +169,14 @@ class StreamTracker {
   /// NaN-exactly; the RNG resumes mid-stream). Const, but it fills the
   /// RNG text memo: it must not race another save_state() or a fire.
   StreamTrackerState save_state() const;
-  /// Restores a snapshot from a tracker with the same sniffer count.
-  /// Throws std::invalid_argument on malformed state (window slot counts
+  /// Throws std::invalid_argument on malformed state: window slot counts
   /// that do not match this tracker's sniffer set, non-ascending window
-  /// epochs, an unparseable RNG stream) — the checkpoint layer converts
-  /// these into typed errors.
+  /// epochs, an unparseable RNG stream, or an SMC snapshot that
+  /// SmcTracker::validate_state() refuses.
+  void validate_state(const StreamTrackerState& state) const;
+  /// Restores a snapshot from a tracker with the same sniffer count. Runs
+  /// validate_state() first, so a refused snapshot leaves the tracker
+  /// untouched.
   void restore_state(const StreamTrackerState& state);
 
  private:

@@ -5,18 +5,26 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <span>
+#include <string>
+#include <string_view>
 #include <sstream>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "core/smc.hpp"
+#include "geom/field.hpp"
 #include "net/deployment.hpp"
 #include "net/flux.hpp"
 #include "sim/scenario.hpp"
 #include "stream/emit.hpp"
 #include "stream/manager.hpp"
+#include "support/bytes.hpp"
+#include "support/crc32.hpp"
 
 namespace fluxfp::stream {
 namespace {
@@ -280,6 +288,152 @@ TEST(Checkpoint, RestoreValidatesDeploymentAndLifecycle) {
   fresh->restore(cp);
   fresh->start();
   fresh->finish();
+}
+
+/// Ways a CRC-valid image can still carry a particle set the filter must
+/// not step on: each breaks estimate() or the resampler's
+/// discrete_distribution precondition.
+const std::vector<std::pair<const char*, void (*)(core::SmcUserState&)>>&
+corrupt_particle_sets() {
+  static const std::vector<
+      std::pair<const char*, void (*)(core::SmcUserState&)>>
+      cases = {
+          {"NaN weight",
+           [](core::SmcUserState& u) {
+             u.particles[0].weight = std::nan("");
+           }},
+          {"negative weight",
+           [](core::SmcUserState& u) { u.particles[0].weight = -0.25; }},
+          {"infinite weight",
+           [](core::SmcUserState& u) {
+             u.particles[0].weight = std::numeric_limits<double>::infinity();
+           }},
+          {"all-zero weights",
+           [](core::SmcUserState& u) {
+             for (core::Particle& p : u.particles) {
+               p.weight = 0.0;
+             }
+           }},
+          {"weights summing past DBL_MAX",
+           [](core::SmcUserState& u) {
+             for (core::Particle& p : u.particles) {
+               p.weight = std::numeric_limits<double>::max();
+             }
+           }},
+          {"NaN position",
+           [](core::SmcUserState& u) {
+             u.particles[0].position.x = std::nan("");
+           }},
+          {"infinite position",
+           [](core::SmcUserState& u) {
+             u.particles.back().position.y =
+                 -std::numeric_limits<double>::infinity();
+           }},
+      };
+  return cases;
+}
+
+TEST(CheckpointRestore, SmcTrackerRefusesCorruptParticleSets) {
+  const geom::RectField field(20.0, 20.0);
+  geom::Rng rng(5);
+  core::SmcConfig cfg;
+  cfg.num_predictions = 30;
+  cfg.num_keep = 4;
+  core::SmcTracker tracker(field, 2, cfg, rng);
+  const core::SmcState good = tracker.save_state();
+  for (const auto& [name, corrupt] : corrupt_particle_sets()) {
+    for (std::size_t user = 0; user < 2; ++user) {
+      core::SmcState bad = good;
+      corrupt(bad.users[user]);
+      EXPECT_THROW(tracker.restore_state(bad), std::invalid_argument)
+          << name << ", user " << user;
+      EXPECT_THROW(tracker.validate_state(bad), std::invalid_argument)
+          << name << ", user " << user;
+    }
+  }
+  // Refused restores touched nothing: the state reads back bit for bit.
+  const core::SmcState after = tracker.save_state();
+  ASSERT_EQ(after.users.size(), good.users.size());
+  for (std::size_t u = 0; u < good.users.size(); ++u) {
+    const auto& a = after.users[u].particles;
+    const auto& b = good.users[u].particles;
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])), 0);
+  }
+}
+
+TEST(CheckpointRestore, ManagerRefusesTheWholeImageAndKeepsItsBytes) {
+  const Bed bed;
+  auto m = make_manager(bed, 2, 1);
+  m->start();
+  for (const std::uint32_t u : {0u, 1u}) {
+    for (const FluxEvent& e : bed.session_events(u, 3, 11 + u)) {
+      m->push(e);
+    }
+  }
+  const ManagerCheckpoint cp = m->checkpoint();
+  m->finish();
+
+  // A fresh target differs from the image in every session, so a session
+  // applied before the corrupt one was found would show in its bytes.
+  auto target = make_manager(bed, 2, 1);
+  const std::string before = encode_checkpoint(target->checkpoint());
+  ASSERT_NE(before, encode_checkpoint(cp));
+  for (const auto& [name, corrupt] : corrupt_particle_sets()) {
+    // Corrupting only the second session must still refuse the first.
+    for (std::size_t s = 0; s < 2; ++s) {
+      ManagerCheckpoint bad = cp;
+      corrupt(bad.sessions[s].state.smc.users[0]);
+      EXPECT_THROW(target->restore(bad), std::invalid_argument)
+          << name << ", session " << s;
+      EXPECT_EQ(encode_checkpoint(target->checkpoint()), before)
+          << name << ", session " << s;
+    }
+  }
+  target->restore(cp);
+  EXPECT_EQ(encode_checkpoint(target->checkpoint()), encode_checkpoint(cp));
+}
+
+TEST(CheckpointRestore, Fluxfpc1ImageWithAPatchedNaNWeightIsRefused) {
+  // Patch one weight's bytes in an encoded image and recompute the CRC:
+  // the image decodes cleanly, and only restore can refuse it.
+  const Bed bed;
+  std::string image = valid_image(bed);
+  ManagerCheckpoint decoded;
+  {
+    std::istringstream is(image);
+    ASSERT_FALSE(read_checkpoint(is, decoded).has_value());
+  }
+  std::size_t at = std::string::npos;
+  for (const core::Particle& p :
+       decoded.sessions[0].state.smc.users[0].particles) {
+    char bytes[sizeof(double)];
+    std::memcpy(bytes, &p.weight, sizeof(double));
+    const std::string_view needle(bytes, sizeof(double));
+    const std::size_t first = image.find(needle);
+    if (first != std::string::npos &&
+        image.find(needle, first + 1) == std::string::npos) {
+      at = first;  // this weight's bytes appear once: patch them
+      break;
+    }
+  }
+  ASSERT_NE(at, std::string::npos) << "no weight with unique bytes";
+  support::put<double>(image.data() + at, std::nan(""));
+  support::put<std::uint32_t>(
+      image.data() + 12,
+      support::crc32(std::string_view(image).substr(kCheckpointHeaderBytes)));
+
+  ManagerCheckpoint patched;
+  {
+    std::istringstream is(image);
+    const auto err = read_checkpoint(is, patched);
+    ASSERT_FALSE(err.has_value()) << err->to_string();
+  }
+  auto target = make_manager(bed, 2, 1);
+  const std::string before = encode_checkpoint(target->checkpoint());
+  EXPECT_THROW(target->restore(patched), std::invalid_argument);
+  EXPECT_EQ(encode_checkpoint(target->checkpoint()), before);
+  target->restore(decoded);  // the unpatched image still restores
 }
 
 TEST(Checkpoint, QuiesceWhileRunningRequiresBlockPolicy) {

@@ -1,6 +1,7 @@
 // CLI contract of the command-line programs that share support/cli.hpp:
 // stream_daemon, fluxfp_loadgen and the experiment binaries (exp_models
-// stands in for all of them; they share bench::parse_options). Every
+// stands in for all of them; they share bench::parse_options), plus
+// attack_cli, whose key-value options follow the same contract. Every
 // argument-parsing failure — unknown subcommand or flag, missing,
 // non-numeric or out-of-range value, missing operand — exits 2 through
 // the one usage-error path with a one-line diagnostic plus the brief
@@ -16,11 +17,12 @@
 
 #include <array>
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 #if !defined(STREAM_DAEMON_BIN) || !defined(FLUXFP_LOADGEN_BIN) || \
-    !defined(EXP_MODELS_BIN)
-#error "STREAM_DAEMON_BIN, FLUXFP_LOADGEN_BIN and EXP_MODELS_BIN must be defined by the build"
+    !defined(EXP_MODELS_BIN) || !defined(ATTACK_CLI_BIN)
+#error "STREAM_DAEMON_BIN, FLUXFP_LOADGEN_BIN, EXP_MODELS_BIN and ATTACK_CLI_BIN must be defined by the build"
 #endif
 
 namespace {
@@ -246,6 +248,64 @@ TEST(ExperimentCli, MalformedSeedAndUnknownFlagExitTwoBeforeAnyWork) {
         << "work started before the usage error:\n"
         << res.output;
   }
+}
+
+// ---------------------------------------------------------------------------
+// attack_cli
+// ---------------------------------------------------------------------------
+
+// A regression here would start the scenario (with --users -1, SIZE_MAX
+// users), so every case runs under a time limit and also asserts that the
+// network line the first step prints never appears.
+const std::string kAttackCli = std::string("timeout 60 ") + ATTACK_CLI_BIN;
+
+void expect_attack_usage_error(const std::string& args,
+                               const std::string& needle) {
+  expect_usage_error(kAttackCli.c_str(), "attack_cli", args, needle);
+  const RunResult res = run(kAttackCli.c_str(), args);
+  EXPECT_EQ(res.output.find("network:"), std::string::npos)
+      << "work started before the usage error:\n"
+      << res.output;
+}
+
+TEST(AttackCli, UnknownKeyFromAFlagOrAConfigFileExitsTwo) {
+  expect_attack_usage_error("--users 1 --rounds 1 --bogus 3",
+                            "unknown key 'bogus'");
+  const std::string path = testing::TempDir() + "attack_cli_unknown_key.cfg";
+  {
+    std::ofstream cfg(path);
+    cfg << "users = 1\nrounds = 1\nsniff_fraction = 0.2  # misspelt key\n";
+  }
+  expect_attack_usage_error(path, "unknown key 'sniff_fraction'");
+  std::remove(path.c_str());
+}
+
+TEST(AttackCli, OutOfRangeCountsExitTwoBeforeAnyWork) {
+  expect_attack_usage_error("--rounds -5", "--rounds needs an integer");
+  expect_attack_usage_error("--rounds 0", "--rounds needs an integer");
+  expect_attack_usage_error("--rounds 2147483648", "--rounds needs an integer");
+  expect_attack_usage_error("--users -1", "--users needs an integer");
+  expect_attack_usage_error("--users 0", "--users needs an integer");
+  expect_attack_usage_error("--users 33", "--users needs an integer");
+  expect_attack_usage_error("--nodes 0", "--nodes needs an integer");
+  expect_attack_usage_error("--dummy_count -2", "--dummy_count needs");
+}
+
+TEST(AttackCli, OutOfRangeFractionsExitTwoBeforeAnyWork) {
+  expect_attack_usage_error("--fraction 0", "--fraction needs a number");
+  expect_attack_usage_error("--fraction 1.5", "--fraction needs a number");
+  expect_attack_usage_error("--dropout 2", "--dropout needs a number");
+  expect_attack_usage_error("--dropout -0.1", "--dropout needs a number");
+  expect_attack_usage_error("--noise nan", "--noise needs a number");
+}
+
+TEST(AttackCli, MalformedValuesAndUnknownChoicesExitTwo) {
+  expect_attack_usage_error("--rounds x", "--rounds needs an integer");
+  expect_attack_usage_error("--seed 2O10", "--seed needs an integer");
+  expect_attack_usage_error("--users", "--users needs an integer");
+  expect_attack_usage_error("--tracker kalman", "--tracker needs one of");
+  expect_attack_usage_error("--defense wall", "--defense needs one of");
+  expect_attack_usage_error("/nonexistent-fluxfp-dir/s.cfg", "cannot open");
 }
 
 }  // namespace
