@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <fstream>
 #include <random>
 #include <span>
@@ -259,6 +260,34 @@ void BM_NnlsFromGram(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NnlsFromGram)->Arg(2)->Arg(4)->Arg(12)->Arg(24);
+
+// The SMC step's §4.E fits on k fixed representative columns: one joint
+// fit and a leave-one-out refit per support member, all on one Gram
+// (SparseObjective::fit_leave_one_out, which SmcTracker::step calls).
+void BM_StepFits(benchmark::State& state) {
+  const std::size_t k = static_cast<std::size_t>(state.range(0));
+  const core::SparseObjective obj = make_objective(90, k);
+  geom::Rng rng(8);
+  std::vector<std::vector<double>> cols(k);
+  std::vector<std::span<const double>> reps;
+  for (std::size_t j = 0; j < k; ++j) {
+    obj.shape_column(geom::uniform_in_field(field(), rng), cols[j]);
+    reps.push_back(cols[j]);
+  }
+  std::vector<double> improvement(k);
+  std::size_t support = 0;
+  for (auto _ : state) {
+    const core::StretchFit joint = obj.fit_leave_one_out(reps, improvement);
+    support = static_cast<std::size_t>(std::count_if(
+        joint.stretches.begin(), joint.stretches.end(),
+        [](double s) { return s > 0.0; }));
+    benchmark::DoNotOptimize(joint.residual);
+    benchmark::DoNotOptimize(improvement.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["support"] = static_cast<double>(support);
+}
+BENCHMARK(BM_StepFits)->Arg(12)->Arg(20);
 
 void BM_LocalizeOneUser(benchmark::State& state) {
   const core::SparseObjective obj = make_objective(90, 1);

@@ -202,9 +202,29 @@ class SparseObjective {
   /// Full fit for K candidate sinks.
   StretchFit fit(std::span<const geom::Vec2> sinks) const;
 
-  /// Fit from precomputed shape columns (all length n). Used by the search
-  /// loops where K-1 columns stay fixed while one candidate varies.
+  /// Fit from precomputed shape columns (all length n, K <= kMaxGramUsers).
+  /// K = 1 is the closed-form numeric::nnls_single. K >= 2 builds the
+  /// normal equations and solves them with nnls_from_gram; a sub-fit on
+  /// some of the columns is then a solve on a principal submatrix
+  /// (fit_leave_one_out). The reported residual is
+  /// summed on the columns, not taken from the Gram-space formula
+  /// b2 - 2 s^T c + s^T G s, which cancels to ~sqrt(eps) * ||F'|| at a
+  /// near-exact fit. Throws std::invalid_argument on a column length
+  /// mismatch or K above kMaxGramUsers.
   StretchFit fit_columns(std::span<const std::span<const double>> columns) const;
+
+  /// The fits of the SMC step's §4.E activity test. Returns the joint fit
+  /// of `columns` (bit-identical to fit_columns(columns)) and writes to
+  /// improvement[j] how much the residual grows, relative to
+  /// measured_norm(), when column j is left out. A column with a zero
+  /// joint stretch reads 0 without a refit. Each refit solves the principal
+  /// submatrix of the joint normal equations on the rest of the support
+  /// and reads no column: its residual is the Gram-space one, whose
+  /// ~sqrt(eps) * ||F'|| error sits far below any activity threshold.
+  /// `improvement` must have K entries.
+  StretchFit fit_leave_one_out(
+      std::span<const std::span<const double>> columns,
+      std::span<double> improvement) const;
 
   /// Per-live-sample signed residuals F(sinks, stretches) - F' (length
   /// sample_count()). Throws std::invalid_argument on size mismatch.
@@ -239,6 +259,16 @@ class SparseObjective {
  private:
   /// Fills exactly out.size() == sample_count() entries; no resize.
   void shape_column_into(geom::Vec2 sink, std::span<double> out) const;
+
+  /// fit_columns that, for K >= 2 and n > 0, leaves the normal equations
+  /// it solved in g = A^T A (K x K, row-major) and c = A^T F', each entry
+  /// one numeric::simd::dot. g and c hold kMaxGramUsers^2 and
+  /// kMaxGramUsers entries.
+  StretchFit fit_columns(std::span<const std::span<const double>> columns,
+                         double* g, double* c) const;
+  /// ||sum_j stretches[j] * columns[j] - F'||, summed on the columns.
+  double residual_on_columns(std::span<const std::span<const double>> columns,
+                             const double* stretches) const;
 
   /// Shared constructor tail: masks, dedups (both endpoints), compacts to
   /// the live sites and builds the SoA coordinate rows. Expects
@@ -309,8 +339,9 @@ StretchFit nnls_from_gram(std::span<const double> g, std::size_t k,
 /// every fixed column's, and until then the run does not depend on it, so
 /// each candidate replays one gradient per recorded iteration and resumes
 /// the ordinary loop at its entry. The candidate's index is the largest,
-/// so the recorded passive set's Cholesky factor is all but the last row
-/// of the first solve's. Results are bit-identical to the uncached
+/// so every solve of the resumed run whose passive set is a recorded set
+/// plus the candidate takes that set's stored Cholesky factor as all but
+/// its last row. Results are bit-identical to the uncached
 /// nnls_from_gram on the assembled Gram; a candidate with |c_K| above
 /// every fixed |c_j| (which moves the tolerance) or with a non-finite Gram
 /// term takes the uncached solve.

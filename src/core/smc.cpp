@@ -291,11 +291,17 @@ SmcStepResult SmcTracker::step(double time,
   }
 
   // --- Filtering: conditional sweeps over users ---
+  // rep_cols[j] is always the shape column of reps[j]; every fit below
+  // reads it instead of rebuilding the column.
   const std::span<geom::Vec2> reps = arena.alloc<geom::Vec2>(k);
+  std::array<std::span<const double>, kMaxGramUsers> rep_spans;
   for (std::size_t j = 0; j < k; ++j) {
     reps[j] = estimate(j);
     objective.shape_column(reps[j], scratch.rep_cols[j]);
+    rep_spans[j] = scratch.rep_cols[j];
   }
+  const std::span<const std::span<const double>> rep_columns(rep_spans.data(),
+                                                             k);
 
   // Per-user scores of the *last* sweep; index into predictions(j).
   //
@@ -339,7 +345,7 @@ SmcStepResult SmcTracker::step(double time,
     // Support of the joint fit at the current representatives. Columns
     // whose stretch is a sliver of the largest are noise-absorbers (stale
     // reps soaking up model misfit), not users — drop them too.
-    const StretchFit sweep_fit = objective.fit(reps);
+    const StretchFit sweep_fit = objective.fit_columns(rep_columns);
     double max_stretch = 0.0;
     for (double s : sweep_fit.stretches) {
       max_stretch = std::max(max_stretch, s);
@@ -379,39 +385,25 @@ SmcStepResult SmcTracker::step(double time,
       const std::span<const double> best_col =
           scratch.cand_cols[j].column(best_idx);
       scratch.rep_cols[j].assign(best_col.begin(), best_col.end());
+      rep_spans[j] = scratch.rep_cols[j];
     }
   }
 
   // --- Joint stretch fit at the best combination (asynchronism test) ---
-  StretchFit joint = objective.fit(reps);
+  // Leave-one-out activity test: how much worse does the fit get without
+  // user j's column? Users outside the joint fit's support contribute
+  // nothing and read 0. Each refit solves a principal submatrix of the
+  // joint Gram, a microsecond-scale solve, so they run serially here.
+  const std::span<double> improvement = arena.alloc<double>(k);
+  const StretchFit joint =
+      objective.fit_leave_one_out(rep_columns, improvement);
   result.stretches = joint.stretches;
   result.residual = joint.residual;
   result.best.assign(reps.begin(), reps.end());
 
   // --- Asynchronous updating + importance sampling (Eq. 4.3) ---
   for (std::size_t j = 0; j < k; ++j) {
-    // Leave-one-out activity test: how much worse does the fit get without
-    // user j's column? Users outside the joint fit's support contribute
-    // nothing (dropping their zero-stretch column leaves the residual
-    // unchanged), so only support members need the refit.
-    double improvement = 0.0;
-    if (joint.stretches[j] > 0.0) {
-      std::array<std::span<const double>, kMaxGramUsers> without;
-      std::size_t nw = 0;
-      for (std::size_t o = 0; o < k; ++o) {
-        if (o != j && joint.stretches[o] > 0.0) {
-          without[nw++] = scratch.rep_cols[o];
-        }
-      }
-      const double residual_without =
-          objective
-              .fit_columns(
-                  std::span<const std::span<const double>>(without.data(), nw))
-              .residual;
-      improvement =
-          (residual_without - joint.residual) / objective.measured_norm();
-    }
-    const bool active = improvement > config_.inactive_improvement_tol;
+    const bool active = improvement[j] > config_.inactive_improvement_tol;
     if (!active) {
       continue;  // s/r -> 0: leave samples and t_last untouched (§4.E)
     }
@@ -516,7 +508,10 @@ SmcStepResult SmcTracker::step(double time,
       FLUXFP_OBS_COUNTER_INC("fluxfp_core_smc_recoveries_total",
                              "Grid-scan re-acquisitions of a lost track");
       reseed_from_grid(time, objective, reps, scratch);
-      const StretchFit refit = objective.fit(reps);
+      for (std::size_t j = 0; j < k; ++j) {
+        rep_spans[j] = scratch.rep_cols[j];
+      }
+      const StretchFit refit = objective.fit_columns(rep_columns);
       result.stretches = refit.stretches;
       result.residual = refit.residual;
       result.best.assign(reps.begin(), reps.end());

@@ -1,32 +1,13 @@
 #pragma once
 
 #include <span>
-#include <vector>
-
-#include "numeric/matrix.hpp"
 
 namespace fluxfp::numeric {
 
-/// Result of a non-negative least-squares solve.
-struct NnlsResult {
-  std::vector<double> x;  ///< solution, all entries >= 0
-  double residual = 0.0;  ///< ||A x - b||_2 at the solution
-  bool converged = false;
-};
-
-/// Lawson–Hanson active-set NNLS: minimize ||A x - b||_2 subject to x >= 0.
-///
-/// The flux-fitting subproblem is tiny (K columns = number of mobile users,
-/// typically <= 4) but is solved tens of thousands of times per filtering
-/// round, so the implementation avoids allocation-churn in the inner loop.
-/// `max_iter` bounds active-set iterations; the default is generous for
-/// well-conditioned small systems.
-NnlsResult nnls(const Matrix& a, const std::vector<double>& b,
-                int max_iter = 200);
-
 /// Closed-form single-column NNLS: min_{s>=0} ||s*f - b||.
 /// Returns the optimal s (0 if f is zero or the unconstrained optimum is
-/// negative).
+/// negative). Fits of two or more columns solve their normal equations in
+/// Gram space (core::nnls_from_gram).
 double nnls_single(std::span<const double> f, std::span<const double> b);
 
 }  // namespace fluxfp::numeric

@@ -383,10 +383,12 @@ bool circle_row(double sx, double sy, double px, double py, double cx,
     const DoubleVec ux = div(rx, nrm);
     const DoubleVec uy = div(ry, nrm);
     const DoubleVec b = add(mul(ux, vocx), mul(uy, vocy));
-    const DoubleVec disc = max(sub(mul(b, b), vc), vzero);
-    const DoubleVec l_ray = max(add(neg(b), sqrt(disc)), vzero);
+    // max(vzero, x) is std::max(x, 0.0): a NaN x (an overflowed c or
+    // l^2 - d^2) stays NaN as in the scalar shape.
+    const DoubleVec disc = max(vzero, sub(mul(b, b), vc));
+    const DoubleVec l_ray = max(vzero, add(neg(b), sqrt(disc)));
     const DoubleVec l = blend(cmp_gt(n2, vzero), l_ray, vldeg);
-    const DoubleVec l2md2 = max(sub(mul(l, l), mul(d, d)), vzero);
+    const DoubleVec l2md2 = max(vzero, sub(mul(l, l), mul(d, d)));
     store(out + i, div(l2md2, mul(vtwo, max(d, vdmin))));
   }
   for (; i < n; ++i) {

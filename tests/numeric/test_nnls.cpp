@@ -3,11 +3,23 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <span>
+#include <vector>
 
+#include "core/flux_model.hpp"
+#include "core/nls.hpp"
+#include "geom/field.hpp"
 #include "numeric/linalg.hpp"
+#include "../support/nnls_oracle.hpp"
 
 namespace fluxfp::numeric {
 namespace {
+
+// Fits of two or more columns go through the Gram-space solver
+// (core::nnls_from_gram); these cases pin its answers on small dense
+// problems against qr_least_squares, closed forms and a KKT certificate
+// computed from A.
+using nnls_oracle::gram_nnls;
 
 TEST(NnlsSingle, PositiveOptimum) {
   // min_s ||s*(1,1) - (2,2)|| -> s = 2.
@@ -32,42 +44,60 @@ TEST(Nnls, UnconstrainedInteriorSolution) {
   // Well-conditioned with positive solution: NNLS == plain LS.
   const Matrix a{{1, 0}, {0, 1}, {1, 1}};
   const std::vector<double> b{1, 2, 3};
-  const NnlsResult r = nnls(a, b);
+  const core::StretchFit r = gram_nnls(a, b);
   const auto ls = qr_least_squares(a, b);
   ASSERT_TRUE(ls.has_value());
-  EXPECT_NEAR(r.x[0], (*ls)[0], 1e-9);
-  EXPECT_NEAR(r.x[1], (*ls)[1], 1e-9);
+  EXPECT_NEAR(r.stretches[0], (*ls)[0], 1e-9);
+  EXPECT_NEAR(r.stretches[1], (*ls)[1], 1e-9);
 }
 
 TEST(Nnls, ActiveConstraintZerosOutColumn) {
   // b points along -col1 direction; optimal s1 = 0.
   const Matrix a{{1, 0}, {0, 1}};
-  const NnlsResult r = nnls(a, {-5, 3});
-  EXPECT_DOUBLE_EQ(r.x[0], 0.0);
-  EXPECT_NEAR(r.x[1], 3.0, 1e-9);
+  const core::StretchFit r = gram_nnls(a, {-5, 3});
+  EXPECT_DOUBLE_EQ(r.stretches[0], 0.0);
+  EXPECT_NEAR(r.stretches[1], 3.0, 1e-9);
   EXPECT_NEAR(r.residual, 5.0, 1e-9);
 }
 
 TEST(Nnls, AllZeroWhenBNegativeOrthant) {
   const Matrix a{{1, 0}, {0, 1}};
-  const NnlsResult r = nnls(a, {-1, -2});
-  EXPECT_DOUBLE_EQ(r.x[0], 0.0);
-  EXPECT_DOUBLE_EQ(r.x[1], 0.0);
+  const core::StretchFit r = gram_nnls(a, {-1, -2});
+  EXPECT_DOUBLE_EQ(r.stretches[0], 0.0);
+  EXPECT_DOUBLE_EQ(r.stretches[1], 0.0);
   EXPECT_NEAR(r.residual, norm({-1, -2}), 1e-12);
 }
 
 TEST(Nnls, SingleColumnFastPathMatchesGeneral) {
+  // fit_columns' closed form (nnls_single) and the Gram-space solve agree
+  // on one column.
   const Matrix a{{2}, {1}, {3}};
-  const NnlsResult r = nnls(a, {4, 2, 6});
-  ASSERT_EQ(r.x.size(), 1u);
-  EXPECT_NEAR(r.x[0], 2.0, 1e-12);
-  EXPECT_NEAR(r.residual, 0.0, 1e-12);
+  const std::vector<double> b{4, 2, 6};
+  const core::StretchFit r = gram_nnls(a, b);
+  ASSERT_EQ(r.stretches.size(), 1u);
+  EXPECT_NEAR(r.stretches[0], 2.0, 1e-12);
+  EXPECT_NEAR(r.residual, 0.0, 1e-7);
+  const std::vector<double> f{2, 1, 3};
+  EXPECT_NEAR(nnls_single(f, b), r.stretches[0], 1e-12);
 }
 
-TEST(Nnls, DimensionMismatchReturnsEmpty) {
-  const NnlsResult r = nnls(Matrix(2, 2), {1, 2, 3});
-  EXPECT_TRUE(r.x.empty());
-  EXPECT_FALSE(r.converged);
+TEST(Nnls, DimensionMismatchThrows) {
+  // A Gram or c of the wrong size, or a column of the wrong length, is
+  // refused, not solved.
+  const std::vector<double> g{1, 0, 0, 1};
+  const std::vector<double> c{1, 2};
+  EXPECT_THROW(core::nnls_from_gram(g, 3, c, 5.0), std::invalid_argument);
+  EXPECT_THROW(core::nnls_from_gram(g, 2, std::vector<double>{1}, 5.0),
+               std::invalid_argument);
+  EXPECT_NO_THROW(core::nnls_from_gram(g, 2, c, 5.0));
+  const geom::RectField field(10.0, 10.0);
+  const core::SparseObjective obj(core::FluxModel(field, 1.0),
+                                  std::vector<geom::Vec2>{{1, 1}, {5, 5}},
+                                  std::vector<double>{1.0, 2.0});
+  const std::vector<double> good{1.0, 1.0};
+  const std::vector<double> short_col{1.0};
+  const std::vector<std::span<const double>> cols{good, short_col};
+  EXPECT_THROW(obj.fit_columns(cols), std::invalid_argument);
 }
 
 TEST(Nnls, RecoverExactNonnegativeCombination) {
@@ -83,15 +113,19 @@ TEST(Nnls, RecoverExactNonnegativeCombination) {
   }
   const std::vector<double> truth{1.5, 0.0, 2.25, 0.75};
   const std::vector<double> b = a * truth;
-  const NnlsResult r = nnls(a, b);
-  ASSERT_EQ(r.x.size(), k);
+  const core::StretchFit r = gram_nnls(a, b);
+  ASSERT_EQ(r.stretches.size(), k);
   for (std::size_t c = 0; c < k; ++c) {
-    EXPECT_NEAR(r.x[c], truth[c], 1e-6) << "column " << c;
+    EXPECT_NEAR(r.stretches[c], truth[c], 1e-6) << "column " << c;
   }
-  EXPECT_NEAR(r.residual, 0.0, 1e-8);
+  // On A the fit is exact; the Gram-space residual b2 - 2 s^T c + s^T G s
+  // cancels to within sqrt(eps) * ||b||.
+  EXPECT_NEAR(nnls_oracle::residual_on(a, b, r.stretches), 0.0, 1e-8);
+  EXPECT_NEAR(r.residual, 0.0, 1e-7 * norm(b));
 }
 
-// Property: NNLS solutions satisfy the KKT conditions.
+// Property: NNLS solutions satisfy the KKT conditions, and for k <= 6 they
+// are the optimum over every support.
 class NnlsKkt : public ::testing::TestWithParam<int> {};
 
 TEST_P(NnlsKkt, SolutionSatisfiesKkt) {
@@ -107,21 +141,12 @@ TEST_P(NnlsKkt, SolutionSatisfiesKkt) {
     }
     b[r] = u(rng);
   }
-  const NnlsResult r = nnls(a, b);
-  ASSERT_EQ(r.x.size(), k);
-  // Gradient g = A^T(Ax - b): g_j >= 0 for x_j = 0, g_j ~= 0 for x_j > 0.
-  const std::vector<double> res = subtract(a * r.x, b);
+  const core::StretchFit r = gram_nnls(a, b);
+  EXPECT_TRUE(nnls_oracle::kkt_certificate(a, b, r.stretches, 1e-6));
+  const nnls_oracle::Optimum best = nnls_oracle::exhaustive_nnls(a, b);
+  EXPECT_NEAR(r.residual, best.residual, 1e-9);
   for (std::size_t j = 0; j < k; ++j) {
-    double g = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      g += a(i, j) * res[i];
-    }
-    EXPECT_GE(r.x[j], 0.0);
-    if (r.x[j] > 1e-9) {
-      EXPECT_NEAR(g, 0.0, 1e-6) << "active column " << j;
-    } else {
-      EXPECT_GE(g, -1e-6) << "inactive column " << j;
-    }
+    EXPECT_NEAR(r.stretches[j], best.s[j], 1e-6) << "column " << j;
   }
 }
 

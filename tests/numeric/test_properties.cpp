@@ -4,10 +4,11 @@
 #include <algorithm>
 #include <random>
 
+#include "core/nls.hpp"
 #include "numeric/hungarian.hpp"
 #include "numeric/linalg.hpp"
-#include "numeric/nnls.hpp"
 #include "numeric/stats.hpp"
+#include "../support/nnls_oracle.hpp"
 
 namespace fluxfp::numeric {
 namespace {
@@ -20,7 +21,8 @@ class NumericProperty : public ::testing::TestWithParam<int> {
 };
 
 TEST_P(NumericProperty, NnlsIsScaleEquivariant) {
-  // Scaling b by c > 0 scales the NNLS solution and residual by c.
+  // Scaling b by c > 0 scales the NNLS solution and residual by c. The
+  // solver is the Gram-space one; both fits carry a KKT certificate.
   const std::size_t n = 10, k = 3;
   Matrix a(n, k);
   std::vector<double> b(n);
@@ -35,11 +37,14 @@ TEST_P(NumericProperty, NnlsIsScaleEquivariant) {
   for (std::size_t r = 0; r < n; ++r) {
     b_scaled[r] = scale * b[r];
   }
-  const NnlsResult base = nnls(a, b);
-  const NnlsResult scaled = nnls(a, b_scaled);
+  const core::StretchFit base = nnls_oracle::gram_nnls(a, b);
+  const core::StretchFit scaled = nnls_oracle::gram_nnls(a, b_scaled);
+  EXPECT_TRUE(nnls_oracle::kkt_certificate(a, b, base.stretches, 1e-6));
+  EXPECT_TRUE(
+      nnls_oracle::kkt_certificate(a, b_scaled, scaled.stretches, 1e-6));
   EXPECT_NEAR(scaled.residual, scale * base.residual, 1e-6);
   for (std::size_t c = 0; c < k; ++c) {
-    EXPECT_NEAR(scaled.x[c], scale * base.x[c], 1e-5);
+    EXPECT_NEAR(scaled.stretches[c], scale * base.stretches[c], 1e-5);
   }
 }
 
@@ -53,8 +58,11 @@ TEST_P(NumericProperty, NnlsResidualNeverWorseThanZeroSolution) {
     }
     b[r] = sym(rng);
   }
-  const NnlsResult res = nnls(a, b);
+  const core::StretchFit res = nnls_oracle::gram_nnls(a, b);
   EXPECT_LE(res.residual, norm(b) + 1e-12);
+  EXPECT_LE(nnls_oracle::residual_on(a, b, res.stretches), norm(b) + 1e-12);
+  EXPECT_NEAR(res.residual, nnls_oracle::exhaustive_nnls(a, b).residual,
+              1e-9);
 }
 
 TEST_P(NumericProperty, QrMatchesNormalEquations) {

@@ -6,7 +6,8 @@
 // scalar FluxModel::shape, so each case here is compared with memcmp, for
 // a sink inside the field (its own clamp) and one outside (clamped first),
 // at every row length n in [1, 19] so that each node passes through every
-// lane position and the scalar tail.
+// lane position and the scalar tail. CircleRow.* holds the circle row to
+// the same standard at extreme scales.
 
 #include <gtest/gtest.h>
 
@@ -192,6 +193,31 @@ TEST(RectExitAxis, DegenerateRaysAndExtremeScales) {
       row.add({2.9 * scale, p.y});
       expect_rows_exact(model, sink, row);
     }
+  }
+}
+
+TEST(CircleRow, ExtremeScalesMatchShapeBitForBit) {
+  // A 1e160-radius circle: R^2 overflows, so c = |oc|^2 - R^2 is -inf for
+  // a sink near the center and inf - inf = NaN for one 1e160 away, and
+  // l^2 - d^2 is inf - inf between nodes 1e160 apart. The scalar
+  // std::max(x, 0.0) keeps each NaN; the vector lanes must too.
+  const geom::CircleField field({0.0, 0.0}, 1e160);
+  const core::FluxModel model(field, 1.2);
+  const double r = 1e160;
+  for (const geom::Vec2 sink :
+       {geom::Vec2{0.0, 0.0}, geom::Vec2{1.0, -2.0},
+        geom::Vec2{0.5 * r, 0.3 * r}, geom::Vec2{-0.2 * r, 0.9 * r},
+        geom::Vec2{2.0 * r, 0.0}, geom::Vec2{-1.5 * r, -1.5 * r}}) {
+    Row row;
+    for (const double f : {-0.9, -0.4, 0.0, 0.35, 0.7}) {
+      row.add({f * r, 0.5 * f * r});
+      row.add({-0.5 * f * r, f * r});
+    }
+    row.add({1.0, 1.0});
+    row.add({-3.0, 2.0});
+    row.add({sink.x + 1.0, sink.y});
+    row.add({0.7 * r, -0.7 * r});
+    expect_rows_exact(model, sink, row);
   }
 }
 
