@@ -438,7 +438,7 @@ BENCHMARK(BM_SmcStepTwoUsers)->Arg(200)->Arg(1000);
 // Streaming ingestion overhead: bounded-queue push+pop cost per event,
 // excluding any filtering work.
 void BM_EventIngest(benchmark::State& state) {
-  stream::EventQueue queue(1024, stream::QueuePolicy::kBlock);
+  stream::EventQueue queue(1024);
   stream::FluxEvent out;
   double time = 0.0;
   for (auto _ : state) {

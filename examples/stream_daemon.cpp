@@ -101,14 +101,14 @@ void print_help() {
       "  --listen ADDR         endpoint (default tcp:127.0.0.1:7440;\n"
       "                        tcp port 0 = ephemeral, printed at start)\n"
       "  --tenants T           spread sessions over T tenants, session s\n"
-      "                        owned by tenant s%T, priority s (default 1)\n"
+      "                        owned by tenant s%T (default 1)\n"
       "  --token T:TOK         require token TOK for tenant T "
       "(repeatable;\n"
       "                        none = open auth)\n"
       "  --quota N             max in-flight events per tenant "
       "(default 0 = off)\n"
-      "  --admission P         over-quota policy: block, shed-newest,\n"
-      "                        shed-lowest (default block)\n"
+      "  --admission P         over-quota policy: block or shed-newest\n"
+      "                        (default block)\n"
       "  --queue-capacity N    per-worker ingest queue bound "
       "(default 256)\n"
       "  --checkpoint PATH     persist FLUXFPC1 snapshots to PATH\n"
@@ -146,7 +146,7 @@ struct Deployment {
 };
 
 /// Supervisor factory over the shared deployment: sessions 0..N-1, tenant
-/// s%tenants, priority s. Every incarnation gets the same construction
+/// s%tenants. Every incarnation gets the same construction
 /// inputs (the restore contract of the checkpoint format).
 stream::Supervisor::ManagerFactory make_factory(
     const Deployment& dep, std::size_t sessions, std::size_t tenants,
@@ -157,13 +157,10 @@ stream::Supervisor::ManagerFactory make_factory(
   return [&dep, sessions, tenants, mcfg, tcfg, seed, restored]() {
     auto m = std::make_unique<stream::TrackerManager>(mcfg);
     for (std::size_t s = 0; s < sessions; ++s) {
-      stream::SessionOptions opts;
-      opts.tenant = static_cast<std::uint32_t>(s % tenants);
-      opts.priority = static_cast<std::uint32_t>(s);
       m->add_session(static_cast<std::uint32_t>(s),
                      stream::StreamTracker(dep.model, dep.graph, dep.sniffed,
                                            1, tcfg, seed + 500 * (s + 1)),
-                     opts);
+                     {.tenant = static_cast<std::uint32_t>(s % tenants)});
     }
     if (restored != nullptr) {
       m->restore(*restored);
@@ -467,11 +464,8 @@ int run_serve(int argc, char** argv, int first) {
         admission = stream::AdmissionPolicy::kBlock;
       } else if (policy == "shed-newest") {
         admission = stream::AdmissionPolicy::kShedNewest;
-      } else if (policy == "shed-lowest") {
-        admission = stream::AdmissionPolicy::kShedLowestPriority;
       } else {
-        args.fail("--admission must be block, shed-newest, or "
-                  "shed-lowest, got '" +
+        args.fail("--admission must be block or shed-newest, got '" +
                   policy + "'");
       }
     } else if (args.is("--token")) {

@@ -63,7 +63,7 @@ struct ServerConfig {
 /// mutex; connection threads contend there per frame, not per event.
 /// Backpressure per admission policy flows through that lock: under
 /// kBlock an over-quota batch stalls its connection (and any connection
-/// behind the lock) until workers drain — lossless; under kShed* the
+/// behind the lock) until workers drain — lossless; under kShedNewest the
 /// offer returns immediately and the shed counts ride back on BATCH_ACK.
 ///
 /// Queries quiesce: QUERY_ESTIMATE and METRICS drain the shard before

@@ -268,49 +268,6 @@ std::string MetricsRegistry::export_text(bool include_scheduling) const {
   return out;
 }
 
-std::string MetricsRegistry::export_json(bool include_scheduling) const {
-  support::MutexLock lock(mutex_);
-  std::string out = "{\n  \"metrics\": [";
-  bool first = true;
-  for (const auto& [name, idx] : index_) {
-    const Entry& e = *entries_[idx];
-    if (!include_scheduling && e.det == Determinism::kScheduling) {
-      continue;
-    }
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    {\"name\": \"" + name + "\", \"kind\": \"" +
-           kind_name(e.kind) + "\", \"stable\": " +
-           (e.det == Determinism::kStable ? "true" : "false");
-    switch (e.kind) {
-      case MetricKind::kCounter:
-        out += ", \"value\": " + std::to_string(e.counter->value());
-        break;
-      case MetricKind::kGauge:
-        out += ", \"value\": " + format_double(e.gauge->value());
-        break;
-      case MetricKind::kHistogram: {
-        const Histogram& h = *e.histogram;
-        out += ", \"count\": " + std::to_string(h.count()) +
-               ", \"sum\": " + std::to_string(h.sum()) + ", \"buckets\": [";
-        for (std::size_t b = 0; b <= h.bounds().size(); ++b) {
-          const std::string le = b < h.bounds().size()
-                                     ? std::to_string(h.bounds()[b])
-                                     : std::string("+Inf");
-          out += (b == 0 ? "" : ", ");
-          out += "{\"le\": \"" + le +
-                 "\", \"count\": " + std::to_string(h.bucket_count(b)) + "}";
-        }
-        out += "]";
-        break;
-      }
-    }
-    out += "}";
-  }
-  out += "\n  ]\n}\n";
-  return out;
-}
-
 void MetricsRegistry::reset_values() {
   support::MutexLock lock(mutex_);
   for (const auto& entry : entries_) {

@@ -166,9 +166,6 @@ class MetricsRegistry {
   /// buckets per the format. `include_scheduling` = false restricts the
   /// export to kStable metrics — the byte-identical-across-runs subset.
   std::string export_text(bool include_scheduling = true) const;
-  /// JSON snapshot (BENCH_micro.json-style: one flat "metrics" array),
-  /// metrics in name order, per-bucket (non-cumulative) counts.
-  std::string export_json(bool include_scheduling = true) const;
 
   /// Zeroes every value; registrations (names, help, bounds) survive.
   void reset_values();

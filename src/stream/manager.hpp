@@ -25,13 +25,8 @@ enum class AdmissionPolicy {
   kBlock,
   /// The incoming event is shed (offer() returns kShedQuota) — newest
   /// work is the cheapest to lose when the tracker will re-estimate next
-  /// epoch anyway.
+  /// epoch anyway. An event offer() accepted is never discarded.
   kShedNewest,
-  /// The incoming event displaces the oldest queued event of the
-  /// tenant's lowest-priority session when the incoming session outranks
-  /// it; otherwise the incoming event is shed. Keeps high-priority
-  /// sessions tracking through a low-priority flood.
-  kShedLowestPriority,
 };
 
 /// Admission outcome of one offer()ed event.
@@ -43,25 +38,20 @@ enum class PushStatus {
 };
 
 /// Per-session admission attributes. Sessions of one tenant share that
-/// tenant's quota; priority orders sessions within a tenant for
-/// kShedLowestPriority (higher value = more important).
+/// tenant's quota.
 struct SessionOptions {
   std::uint32_t tenant = 0;
-  std::uint32_t priority = 0;
 };
 
 /// Sharding and backpressure policy of the tracking service.
 struct ManagerConfig {
   /// Worker threads events are sharded over (>= 1). Each session is pinned
   /// to one worker; per-session event order is preserved by routing, so
-  /// results are bit-identical at any worker count (under kBlock).
+  /// results are bit-identical at any worker count (with no quota or
+  /// AdmissionPolicy::kBlock).
   std::size_t workers = 1;
-  /// Per-worker ingest queue bound.
+  /// Per-worker ingest queue bound; a full queue blocks offer().
   std::size_t queue_capacity = 256;
-  /// What a full ingest queue does to push() — see QueuePolicy. kDropOldest
-  /// trades the lossless-delivery half of the determinism contract for
-  /// bounded producer latency.
-  QueuePolicy policy = QueuePolicy::kBlock;
   /// Max in-flight (queued, not yet folded) events per tenant; 0 disables
   /// admission control entirely — the default keeps the no-quota hot path
   /// free of admission bookkeeping.
@@ -71,13 +61,12 @@ struct ManagerConfig {
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
 };
 
-/// Service-level counters, valid after finish().
+/// Service-level counters, valid after finish(). Every routed event is
+/// processed: events_routed == events_processed.
 struct ManagerStats {
   std::uint64_t events_routed = 0;     ///< accepted by offer()/push()
   std::uint64_t events_processed = 0;  ///< popped and folded by workers
-  std::uint64_t events_dropped = 0;    ///< queue evictions (kDropOldest)
   std::uint64_t events_shed = 0;       ///< rejected by the admission policy
-  std::uint64_t events_evicted = 0;    ///< displaced by a higher priority
   std::uint64_t unknown_user = 0;      ///< pushes for unregistered sessions
   std::uint64_t epochs_fired = 0;
   double wall_seconds = 0.0;           ///< start() -> finish(), wall-clock
@@ -95,9 +84,9 @@ struct ManagerStats {
 /// Determinism contract (the streaming extension of PR 2's): every session
 /// owns its RNG (seeded at StreamTracker construction) and consumes its own
 /// events in push order — routing never reorders a session's events, and
-/// sessions never share mutable state. Under QueuePolicy::kBlock (and no
-/// tenant quota, or AdmissionPolicy::kBlock) the same pushed sequence
-/// therefore yields bit-identical per-user estimates at ANY worker count.
+/// sessions never share mutable state. With no quota or
+/// AdmissionPolicy::kBlock the same pushed sequence therefore yields
+/// bit-identical per-user estimates at ANY worker count.
 /// Worker threads hold a numeric::SerialRegionGuard, so the per-step
 /// candidate evaluation runs inline and the shared pool is left to
 /// single-threaded callers; the service's parallelism axis is sessions.
@@ -127,7 +116,7 @@ class TrackerManager {
   void start();
 
   /// Routes one event to its session's worker and reports the admission
-  /// outcome. Under kBlock (queue or quota) this call provides the
+  /// outcome. A full worker queue, or a kBlock quota, makes this call the
   /// backpressure. Any thread may offer.
   PushStatus offer(const FluxEvent& event);
 
@@ -186,7 +175,7 @@ class TrackerManager {
   const std::vector<EpochResult>& results(std::uint32_t user) const;
   /// The session's tracker (final estimates, ingestion stats).
   const StreamTracker& session(std::uint32_t user) const;
-  /// The session's admission attributes (tenant, priority). Throws
+  /// The session's admission attributes (tenant). Throws
   /// std::invalid_argument on an unknown user.
   const SessionOptions& session_options(std::uint32_t user) const;
 
@@ -226,22 +215,17 @@ class TrackerManager {
   std::atomic<std::uint64_t> processed_live_{0};     // fluxfp-lint: allow(atomics-policy) -- monotonic stat bumped on the hot path; flow_mutex_ there would serialize workers
 
   /// Flow accounting: routed/processed totals for quiesce(), and — when a
-  /// tenant quota is configured — per-tenant in-flight counts and
-  /// per-session queued counts for admission. One mutex guards it all;
-  /// the per-event cost is one uncontended lock, dwarfed by the SMC step.
+  /// tenant quota is configured — per-tenant in-flight counts for
+  /// admission. One mutex guards it all; the per-event cost is one
+  /// uncontended lock, dwarfed by the SMC step.
   mutable support::Mutex flow_mutex_;
   std::condition_variable flow_cv_;
   std::uint64_t routed_flow_ FLUXFP_GUARDED_BY(flow_mutex_) = 0;
   std::uint64_t processed_flow_ FLUXFP_GUARDED_BY(flow_mutex_) = 0;
   std::uint64_t shed_ FLUXFP_GUARDED_BY(flow_mutex_) = 0;
   bool flow_closed_ FLUXFP_GUARDED_BY(flow_mutex_) = false;
-  std::size_t flow_waiters_ FLUXFP_GUARDED_BY(flow_mutex_) = 0;
   std::unordered_map<std::uint32_t, std::uint64_t> tenant_in_flight_
       FLUXFP_GUARDED_BY(flow_mutex_);
-  std::unordered_map<std::uint32_t, std::vector<std::size_t>>
-      tenant_sessions_ FLUXFP_GUARDED_BY(flow_mutex_);
-  /// Per-session queued counts, one slot per registered session.
-  std::vector<std::uint64_t> queued_ FLUXFP_GUARDED_BY(flow_mutex_);
 };
 
 }  // namespace fluxfp::stream

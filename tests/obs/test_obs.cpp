@@ -157,35 +157,6 @@ TEST(Obs, StableExportExcludesSchedulingMetrics) {
   const std::string stable = reg.export_text(false);
   EXPECT_NE(stable.find("test_obs_stable_total"), std::string::npos);
   EXPECT_EQ(stable.find("test_obs_sched_total"), std::string::npos);
-
-  const std::string stable_json = reg.export_json(false);
-  EXPECT_NE(stable_json.find("test_obs_stable_total"), std::string::npos);
-  EXPECT_EQ(stable_json.find("test_obs_sched_total"), std::string::npos);
-}
-
-TEST(Obs, ExportJsonCarriesValuesAndPerBucketCounts) {
-  MetricsRegistry reg;
-  reg.counter("test_obs_json_total", "").inc(9);
-  reg.gauge("test_obs_json_level", "").set(2.5);
-  const std::vector<std::uint64_t> bounds{10, 100};
-  Histogram& h = reg.histogram("test_obs_json_micros", "",
-                               std::span<const std::uint64_t>(bounds));
-  h.observe(10);
-  h.observe(11);
-  h.observe(500);
-
-  const std::string json = reg.export_json();
-  EXPECT_NE(json.find("\"name\": \"test_obs_json_total\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"value\": 9"), std::string::npos);
-  EXPECT_NE(json.find("\"value\": 2.5"), std::string::npos);
-  // Per-bucket (non-cumulative) counts in the JSON snapshot.
-  EXPECT_NE(json.find("{\"le\": \"10\", \"count\": 1}"), std::string::npos);
-  EXPECT_NE(json.find("{\"le\": \"100\", \"count\": 1}"), std::string::npos);
-  EXPECT_NE(json.find("{\"le\": \"+Inf\", \"count\": 1}"),
-            std::string::npos);
-  EXPECT_NE(json.find("\"sum\": 521"), std::string::npos);
-  EXPECT_NE(json.find("\"count\": 3"), std::string::npos);
 }
 
 TEST(Obs, ResetValuesZeroesButKeepsRegistrations) {

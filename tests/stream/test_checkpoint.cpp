@@ -436,24 +436,6 @@ TEST(CheckpointRestore, Fluxfpc1ImageWithAPatchedNaNWeightIsRefused) {
   target->restore(decoded);  // the unpatched image still restores
 }
 
-TEST(Checkpoint, QuiesceWhileRunningRequiresBlockPolicy) {
-  const Bed bed;
-  ManagerConfig mc;
-  mc.policy = QueuePolicy::kDropOldest;
-  TrackerManager m(mc);
-  m.add_session(0, bed.tracker(1));
-  // Checkpoints before start and after finish are fine under any policy;
-  // a running kDropOldest service has no reachable event boundary.
-  const ManagerCheckpoint cold = m.checkpoint();
-  EXPECT_EQ(cold.sessions.size(), 1u);
-  m.start();
-  EXPECT_THROW(m.checkpoint(), std::logic_error);
-  EXPECT_THROW(m.quiesce(), std::logic_error);
-  m.finish();
-  const ManagerCheckpoint warm = m.checkpoint();
-  EXPECT_EQ(warm.sessions.size(), 1u);
-}
-
 TEST(CheckpointError, TruncatedHeaderIsTyped) {
   const Bed bed;
   const std::string image = valid_image(bed);

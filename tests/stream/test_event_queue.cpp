@@ -28,11 +28,11 @@ FluxEvent ev(double time, std::uint32_t node) {
 }
 
 TEST(EventQueue, RejectsZeroCapacity) {
-  EXPECT_THROW(EventQueue(0, QueuePolicy::kBlock), std::invalid_argument);
+  EXPECT_THROW(EventQueue(0), std::invalid_argument);
 }
 
 TEST(EventQueue, FifoOrderAndStats) {
-  EventQueue q(8, QueuePolicy::kBlock);
+  EventQueue q(8);
   for (int i = 0; i < 5; ++i) {
     EXPECT_TRUE(q.push(ev(i, static_cast<std::uint32_t>(i))));
   }
@@ -45,12 +45,11 @@ TEST(EventQueue, FifoOrderAndStats) {
   const QueueStats s = q.stats();
   EXPECT_EQ(s.pushed, 5u);
   EXPECT_EQ(s.popped, 5u);
-  EXPECT_EQ(s.dropped, 0u);
   EXPECT_EQ(s.max_depth, 5u);
 }
 
 TEST(EventQueue, BlockPolicyIsLossless) {
-  EventQueue q(2, QueuePolicy::kBlock);
+  EventQueue q(2);
   std::atomic<int> produced{0};
   // fluxfp-lint: allow(no-raw-thread) -- MPSC backpressure needs a real
   // competing producer thread; parallel_for cannot model it.
@@ -73,11 +72,11 @@ TEST(EventQueue, BlockPolicyIsLossless) {
   for (std::uint32_t i = 0; i < 100; ++i) {
     EXPECT_EQ(seen[i], i);
   }
-  EXPECT_EQ(q.stats().dropped, 0u);
+  EXPECT_EQ(q.stats().popped, 100u);
 }
 
 TEST(EventQueue, BlockPolicyActuallyBlocksProducer) {
-  EventQueue q(1, QueuePolicy::kBlock);
+  EventQueue q(1);
   ASSERT_TRUE(q.push(ev(0, 0)));
   std::atomic<bool> second_done{false};
   // fluxfp-lint: allow(no-raw-thread) -- must observe a blocked push from
@@ -94,29 +93,12 @@ TEST(EventQueue, BlockPolicyActuallyBlocksProducer) {
   EXPECT_TRUE(second_done.load());
 }
 
-TEST(EventQueue, DropOldestEvictsAndCounts) {
-  EventQueue q(3, QueuePolicy::kDropOldest);
-  for (int i = 0; i < 7; ++i) {
-    EXPECT_TRUE(q.push(ev(i, static_cast<std::uint32_t>(i))));
-  }
-  // Capacity 3: events 0..3 were evicted, 4..6 survive in order.
-  FluxEvent out;
-  for (std::uint32_t expect : {4u, 5u, 6u}) {
-    ASSERT_TRUE(q.try_pop(out));
-    EXPECT_EQ(out.node, expect);
-  }
-  const QueueStats s = q.stats();
-  EXPECT_EQ(s.pushed, 7u);
-  EXPECT_EQ(s.dropped, 4u);
-  EXPECT_EQ(s.popped, 3u);
-}
-
 TEST(EventQueue, StatsSnapshotsStayConsistentUnderConcurrentDrops) {
-  // Regression guard for the kDropOldest drop accounting: a producer
-  // mutates pushed/dropped/max_depth at full speed while this thread
-  // snapshots stats() — under TSan this is the tear/race probe, and the
-  // invariants below catch a snapshot that mixed two states.
-  EventQueue q(8, QueuePolicy::kDropOldest);
+  // Snapshot-tear probe: a producer and a consumer mutate pushed/popped/
+  // max_depth at full speed while this thread snapshots stats(). Under
+  // TSan this is the race probe, and the invariants below catch a
+  // snapshot that mixed two states.
+  EventQueue q(8);
   constexpr std::uint64_t kEvents = 20000;
 #if defined(FLUXFP_OBS_ENABLED)
   auto& reg = obs::MetricsRegistry::global();
@@ -124,53 +106,49 @@ TEST(EventQueue, StatsSnapshotsStayConsistentUnderConcurrentDrops) {
       reg.counter("fluxfp_stream_queue_pushed_total", "");
   obs::Counter& obs_popped =
       reg.counter("fluxfp_stream_queue_popped_total", "");
-  obs::Counter& obs_dropped = reg.counter(
-      "fluxfp_stream_queue_dropped_total", "",
-      obs::Determinism::kScheduling);
   const std::uint64_t pushed0 = obs_pushed.value();
   const std::uint64_t popped0 = obs_popped.value();
-  const std::uint64_t dropped0 = obs_dropped.value();
 #endif
-  std::atomic<bool> done{false};
+  std::atomic<bool> drained{false};
   // fluxfp-lint: allow(no-raw-thread) -- the race under test is a producer
-  // mutating QueueStats while another thread snapshots them.
-  std::thread producer([&] {
+  // and a consumer mutating QueueStats while this thread snapshots them.
+  std::vector<std::thread> traffic;
+  traffic.emplace_back([&] {
     for (std::uint64_t i = 0; i < kEvents; ++i) {
       q.push(ev(static_cast<double>(i), static_cast<std::uint32_t>(i % 64)));
     }
-    done.store(true);
+    q.close();
   });
-  FluxEvent out;
-  std::uint64_t polls = 0;
-  while (!done.load()) {
+  traffic.emplace_back([&] {
+    FluxEvent out;
+    while (q.pop(out)) {
+    }
+    drained.store(true);
+  });
+  while (!drained.load()) {
     const QueueStats s = q.stats();
     // Counters are taken under one lock: any snapshot, however racy the
     // surrounding traffic, must satisfy the queue's conservation laws.
-    ASSERT_LE(s.popped + s.dropped, s.pushed);
-    ASSERT_LE(s.pushed - s.popped - s.dropped, q.capacity());
+    ASSERT_LE(s.popped, s.pushed);
+    ASSERT_LE(s.pushed - s.popped, q.capacity());
     ASSERT_LE(s.max_depth, q.capacity());
-    ++polls;
-    if ((polls & 7u) == 0) {
-      q.try_pop(out);  // keep the consumer half of the protocol alive
-    }
   }
-  producer.join();
-  while (q.try_pop(out)) {
+  for (auto& t : traffic) {
+    t.join();
   }
   const QueueStats s = q.stats();
   EXPECT_EQ(s.pushed, kEvents);
-  EXPECT_EQ(s.popped + s.dropped, s.pushed);
-  EXPECT_GT(s.dropped, 0u);  // capacity 8 vs 20k pushes must evict
+  EXPECT_EQ(s.popped, kEvents);
+  EXPECT_LE(s.max_depth, q.capacity());
 #if defined(FLUXFP_OBS_ENABLED)
   // The obs mirrors moved in lockstep with the QueueStats they replace.
   EXPECT_EQ(obs_pushed.value() - pushed0, s.pushed);
   EXPECT_EQ(obs_popped.value() - popped0, s.popped);
-  EXPECT_EQ(obs_dropped.value() - dropped0, s.dropped);
 #endif
 }
 
 TEST(EventQueue, CloseDrainsThenStops) {
-  EventQueue q(4, QueuePolicy::kBlock);
+  EventQueue q(4);
   q.push(ev(0, 7));
   q.close();
   EXPECT_FALSE(q.push(ev(1, 8)));  // no new events after close
@@ -184,7 +162,7 @@ TEST(EventQueue, CloseWakesBlockedProducerPromptly) {
   // Shutdown-wakeup regression guard: a producer parked in a kBlock push
   // must observe close() promptly and return false — shutdown must never
   // wait for a pop that will not come.
-  EventQueue q(1, QueuePolicy::kBlock);
+  EventQueue q(1);
   ASSERT_TRUE(q.push(ev(0, 0)));
   std::atomic<bool> push_returned{false};
   std::atomic<bool> push_result{true};
@@ -212,50 +190,8 @@ TEST(EventQueue, CloseWakesBlockedProducerPromptly) {
   EXPECT_FALSE(q.pop(out));
 }
 
-TEST(EventQueue, EvictOneRemovesOldestOfUserAndCounts) {
-  EventQueue q(8, QueuePolicy::kBlock);
-  ASSERT_TRUE(q.push({0.0, 5, 0, 10, 1.0}));
-  ASSERT_TRUE(q.push({1.0, 9, 0, 11, 1.0}));
-  ASSERT_TRUE(q.push({2.0, 5, 1, 12, 1.0}));
-  EXPECT_FALSE(q.evict_one(77));  // no such user queued
-  EXPECT_TRUE(q.evict_one(5));    // removes user 5's OLDEST event
-  FluxEvent out;
-  ASSERT_TRUE(q.try_pop(out));
-  EXPECT_EQ(out.user, 9u);
-  ASSERT_TRUE(q.try_pop(out));
-  EXPECT_EQ(out.user, 5u);
-  EXPECT_EQ(out.node, 12u);  // the newer of user 5's events survived
-  EXPECT_FALSE(q.try_pop(out));
-  const QueueStats s = q.stats();
-  EXPECT_EQ(s.pushed, 3u);
-  EXPECT_EQ(s.evicted, 1u);
-  EXPECT_EQ(s.popped, 2u);
-  // Conservation: pushed == popped + dropped + evicted + size().
-  EXPECT_EQ(s.pushed, s.popped + s.dropped + s.evicted + q.size());
-}
-
-TEST(EventQueue, EvictOneFreesASlotForABlockedProducer) {
-  EventQueue q(1, QueuePolicy::kBlock);
-  ASSERT_TRUE(q.push({0.0, 4, 0, 0, 1.0}));
-  std::atomic<bool> second_done{false};
-  // fluxfp-lint: allow(no-raw-thread) -- a parked producer observing the
-  // slot evict_one() frees is the contract under test.
-  std::thread producer([&] {
-    q.push({1.0, 6, 0, 1, 1.0});
-    second_done.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(second_done.load());
-  EXPECT_TRUE(q.evict_one(4));  // displacement frees the slot
-  producer.join();
-  EXPECT_TRUE(second_done.load());
-  FluxEvent out;
-  ASSERT_TRUE(q.try_pop(out));
-  EXPECT_EQ(out.user, 6u);
-}
-
 TEST(EventQueue, MultipleProducersLoseNothingUnderBlock) {
-  EventQueue q(4, QueuePolicy::kBlock);
+  EventQueue q(4);
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 50;
   // fluxfp-lint: allow(no-raw-thread) -- multi-producer contention test;

@@ -117,6 +117,10 @@ TEST(StreamDaemonCli, NonNumericValueExitsTwoInsteadOfParsingAsZero) {
   expect_daemon_usage_error("local --rounds 3x", "--rounds");
   expect_daemon_usage_error("local --speed fast", "--speed");
   expect_daemon_usage_error("serve --queue-capacity -", "--queue-capacity");
+  // Policy names are checked the same way (shed-lowest is not one).
+  expect_daemon_usage_error("serve --listen " + kNoSock +
+                                " --admission shed-lowest",
+                            "--admission");
 }
 
 TEST(StreamDaemonCli, ClientSubcommandsRequireAnAddress) {

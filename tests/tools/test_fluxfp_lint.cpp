@@ -5,7 +5,6 @@
 // exact `file:line: rule` output and exit codes.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <array>
 #include <cstdio>
@@ -451,50 +450,6 @@ TEST(Lexer, RawStringOpenerAtEofDoesNotCrash) {
   const RunResult r =
       run_lint(fixture_args("src/core/lexer_unterminated_ok.cpp"));
   EXPECT_EQ(r.exit_code, kClean) << r.output;
-}
-
-// ---------------------------------------------------------------------------
-// incremental cache
-// ---------------------------------------------------------------------------
-
-TEST(Cache, SecondRunIsByteIdenticalAndPopulatesCacheFile) {
-  const std::string cache_path =
-      std::string(::testing::TempDir()) + "fluxfp_lint_cache_test_" +
-      std::to_string(::getpid());
-  std::remove(cache_path.c_str());
-  const std::string args =
-      fixture_args("--cache-file " + cache_path + " src");
-  const RunResult cold = run_lint(args);
-  const RunResult warm = run_lint(args);
-  EXPECT_EQ(cold.exit_code, kViolations) << cold.output;
-  EXPECT_EQ(warm.exit_code, cold.exit_code);
-  EXPECT_EQ(warm.output, cold.output)
-      << "cache hit must reproduce the cold run byte for byte";
-  FILE* f = std::fopen(cache_path.c_str(), "r");
-  ASSERT_NE(f, nullptr) << "cache file was not written";
-  std::fclose(f);
-  // A poisoned cache must be ignored, not trusted.
-  f = std::fopen(cache_path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  std::fputs("not a cache\n", f);
-  std::fclose(f);
-  const RunResult repaired = run_lint(args);
-  EXPECT_EQ(repaired.output, cold.output) << repaired.output;
-  std::remove(cache_path.c_str());
-}
-
-TEST(Cache, NoCacheFlagMatchesCachedOutput) {
-  const RunResult uncached = run_lint(fixture_args("--no-cache src"));
-  const std::string cache_path =
-      std::string(::testing::TempDir()) + "fluxfp_lint_nocache_test_" +
-      std::to_string(::getpid());
-  std::remove(cache_path.c_str());
-  const std::string args =
-      fixture_args("--cache-file " + cache_path + " src");
-  run_lint(args);  // populate
-  const RunResult warm = run_lint(args);
-  EXPECT_EQ(warm.output, uncached.output);
-  std::remove(cache_path.c_str());
 }
 
 }  // namespace
